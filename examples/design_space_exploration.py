@@ -68,16 +68,14 @@ def main() -> None:
     latency_gain = 100.0 * (1 - best_25.zero_load_latency_cycles / grid_25.zero_load_latency_cycles)
     print(f"  ... {latency_gain:.1f} % lower latency than the 5x5 grid Dojo-style baseline.")
 
-    # 4. Confirm the winner cycle-accurately: a batched injection sweep
+    # 4. Confirm the winner cycle-accurately: the injection sweep
     # evaluates the whole low-load curve over one shared topology /
     # routing / engine build (bit-identical to per-point simulation).
-    print("\nCycle-accurate spot-check curve of the 25-chiplet winner (batched):")
+    print("\nCycle-accurate spot-check curve of the 25-chiplet winner:")
     config = SimulationConfig(
         warmup_cycles=150, measurement_cycles=300, drain_cycles=450
     )
-    curve = explorer.spot_check(
-        best_25, rates=(0.02, 0.05, 0.1), config=config, batch=True
-    )
+    curve = explorer.spot_check(best_25, rates=(0.02, 0.05, 0.1), config=config)
     for rate, result in zip(curve.rates, curve.results):
         print(
             f"  rate {rate:4.2f}: {result.packet_latency.mean:6.1f} cycles mean, "

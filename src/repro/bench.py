@@ -37,15 +37,15 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.arrangements.factory import make_arrangement
-from repro.core.parallel import ParallelSweepRunner
+from repro.core.parallel import ParallelSweepRunner, derive_candidate_seed
 from repro.noc.config import SimulationConfig
 from repro.noc.engine import ENGINE_NAMES
 from repro.noc.simulator import BatchPoint, NocSimulator
-from repro.resilience.sweep import run_resilience_sweep
+from repro.resilience.sweep import resilience_grid, run_resilience_sweep
 from repro.telemetry import (
     FlitTracer,
     MetricsCollector,
@@ -272,9 +272,32 @@ RESILIENCE_MULTIRATE_FAILURES: tuple[int, ...] = (0, 1, 2)
 
 def _resilience_multirate(quick: bool):
     config = SimulationConfig(**_RESILIENCE_MULTIRATE_CONFIG)
+    candidates = resilience_grid(
+        ("hexamesh",),
+        19,
+        RESILIENCE_MULTIRATE_FAILURES,
+        samples=1,
+        fault_type="link",
+        injection_rates=RESILIENCE_MULTIRATE_RATES,
+        seed=config.seed,
+    )
 
-    def sweep(engine: str, batch: bool):
-        return run_resilience_sweep(
+    def run(engine: str):
+        # Per-point reference: one fresh simulator per candidate, with the
+        # seed the sweep runner derives for it.
+        start = time.perf_counter()
+        per_point = [
+            NocSimulator(
+                candidate.build_graph(),
+                replace(config, seed=derive_candidate_seed(config.seed, candidate)),
+                injection_rate=candidate.injection_rate,
+                traffic=candidate.traffic,
+            ).run(engine=engine)
+            for candidate in candidates
+        ]
+        per_point_wall = time.perf_counter() - start
+        start = time.perf_counter()
+        batched = run_resilience_sweep(
             ("hexamesh",),
             19,
             RESILIENCE_MULTIRATE_FAILURES,
@@ -284,25 +307,15 @@ def _resilience_multirate(quick: bool):
             injection_rates=RESILIENCE_MULTIRATE_RATES,
             jobs=1,
             engine=engine,
-            batch=batch,
         )
-
-    def run(engine: str):
-        start = time.perf_counter()
-        per_point = sweep(engine, batch=False)
-        per_point_wall = time.perf_counter() - start
-        start = time.perf_counter()
-        batched = sweep(engine, batch=True)
         batched_wall = time.perf_counter() - start
-        if batched.records != per_point.records:
+        if [record.result for record in batched.records] != per_point:
             raise RuntimeError(
                 "resilience-multirate-hexamesh19: batched surface differs "
                 f"from per-point results under engine {engine!r} — the "
                 "bit-identical contract is broken"
             )
-        cycles = 2 * sum(
-            record.result.cycles_simulated for record in per_point.records
-        )
+        cycles = 2 * sum(result.cycles_simulated for result in per_point)
         extra = {
             "per_point_wall_seconds": round(per_point_wall, 6),
             "batched_wall_seconds": round(batched_wall, 6),
@@ -310,7 +323,7 @@ def _resilience_multirate(quick: bool):
                 per_point_wall / batched_wall, 3
             ) if batched_wall > 0 else 0.0,
         }
-        return [record.result for record in per_point.records], cycles, extra
+        return per_point, cycles, extra
 
     return run
 

@@ -48,11 +48,7 @@ from typing import Sequence
 
 from repro.arrangements.factory import make_arrangement
 from repro.core.design import ChipletDesign
-from repro.core.parallel import (
-    BatchedSweepRunner,
-    ParallelSweepRunner,
-    SweepCandidate,
-)
+from repro.core.parallel import ParallelSweepRunner, SweepCandidate
 from repro.core.report import compare_designs
 from repro.evaluation.performance import run_figure7
 from repro.evaluation.proxies import run_figure6
@@ -175,12 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_ENGINE,
         help="cycle-loop engine for cycle-accurate points (all engines are bit-identical)",
     )
-    figure.add_argument(
-        "--batch",
-        action="store_true",
-        help="batch the cycle-accurate points of each arrangement "
-        "over one shared topology build (bit-identical)",
-    )
 
     simulate = subparsers.add_parser("simulate", help="run the cycle-accurate simulator")
     simulate.add_argument("kind", choices=_KINDS)
@@ -297,13 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=ENGINE_NAMES,
         default=DEFAULT_ENGINE,
         help="cycle-loop engine (all engines are bit-identical)",
-    )
-    sweep.add_argument(
-        "--batch",
-        action="store_true",
-        help="batch same-structure candidates (equal kind/count/"
-        "traffic/faults) over one shared topology build; "
-        "results are bit-identical to per-point runs",
     )
     sweep.add_argument("--output", default=None, help="CSV output path (default: table)")
     sweep.add_argument(
@@ -448,12 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=ENGINE_NAMES,
         default=DEFAULT_ENGINE,
         help="cycle-loop engine (all engines are bit-identical)",
-    )
-    faults.add_argument(
-        "--batch",
-        action="store_true",
-        help="share each fault arrangement's degraded-topology build across its points "
-        "(bit-identical)",
     )
     faults.add_argument("--output", default=None, help="CSV output path (default: table)")
     faults.add_argument(
@@ -718,7 +695,6 @@ def _command_figure(args: argparse.Namespace) -> int:
                 ("--jobs", args.jobs, 1),
                 ("--cache-dir", args.cache_dir, None),
                 ("--engine", args.engine, DEFAULT_ENGINE),
-                ("--batch", args.batch, False),
             )
             if value != default
         ]
@@ -741,7 +717,6 @@ def _command_figure(args: argparse.Namespace) -> int:
                     ("--jobs", args.jobs, 1),
                     ("--cache-dir", args.cache_dir, None),
                     ("--engine", args.engine, DEFAULT_ENGINE),
-                    ("--batch", args.batch, False),
                 )
                 if value != default
             ]
@@ -761,7 +736,6 @@ def _command_figure(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             noc_engine=args.engine,
-            batch=args.batch,
         )
         csv_text = "".join(
             experiment.to_csv()
@@ -961,8 +935,9 @@ def _command_sweep(args: argparse.Namespace) -> int:
     for traffic in traffics:
         check_in_choices("traffic", traffic, available_traffic_patterns())
     config = _phase_config(args.cycles, seed=args.seed)
-    runner_cls = BatchedSweepRunner if args.batch else ParallelSweepRunner
-    runner = runner_cls(config, jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine)
+    runner = ParallelSweepRunner(
+        config, jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine
+    )
     candidates = ParallelSweepRunner.grid(
         kinds, chiplet_counts, rates, traffics, regularity=args.regularity
     )
@@ -1063,7 +1038,8 @@ def _command_faults(args: argparse.Namespace) -> int:
             graph = make_arrangement(kind, args.chiplets, args.regularity).graph
             fault_set.apply(graph)
         # Rate-innermost ordering keeps every rate of one fault set
-        # adjacent, so --batch shares its degraded-topology build.
+        # adjacent in the report; the runner groups them by structure, so
+        # they share one degraded-topology build.
         candidates = []
         for kind in kinds:
             for healthy in (True, False):
@@ -1079,8 +1055,9 @@ def _command_faults(args: argparse.Namespace) -> int:
                             failed_routers=() if healthy else fault_set.failed_routers,
                         )
                     )
-        runner_cls = BatchedSweepRunner if args.batch else ParallelSweepRunner
-        runner = runner_cls(config, jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine)
+        runner = ParallelSweepRunner(
+            config, jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine
+        )
         records = runner.run(candidates, progress=report_progress)
         summaries = summarize_records(records, fault_type=EXPLICIT_FAULT_TYPE)
     else:
@@ -1099,7 +1076,6 @@ def _command_faults(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             engine=args.engine,
-            batch=args.batch,
             progress=report_progress,
         )
         summaries = result.summaries

@@ -9,6 +9,11 @@ cycle-accurate performance) through a single object.
 :class:`DesignSpaceExplorer` sweeps chiplet counts and arrangement families
 and ranks the resulting designs, which is how a user of the library would
 actually pick an arrangement for a given product.
+
+:class:`ParallelSweepRunner` evaluates grids of cycle-accurate candidates
+across worker processes.  It groups candidates that differ only in their
+injection rate, so they share one topology / routing-table build; the
+grouping is automatic and never changes a result.
 """
 
 from repro.core.design import ChipletDesign
@@ -18,7 +23,6 @@ from repro.core.explorer import (
     WorkloadExplorationRecord,
 )
 from repro.core.parallel import (
-    BatchedSweepRunner,
     InFlightRegistry,
     ParallelSweepRunner,
     SweepCandidate,
@@ -31,7 +35,6 @@ from repro.core.parallel import (
 from repro.core.report import DesignComparison, compare_designs
 
 __all__ = [
-    "BatchedSweepRunner",
     "ChipletDesign",
     "DesignComparison",
     "DesignSpaceExplorer",

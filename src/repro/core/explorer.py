@@ -318,7 +318,6 @@ class DesignSpaceExplorer:
         jobs: int | None = None,
         cache_dir: str | None = None,
         engine: str = DEFAULT_ENGINE,
-        batch: bool = False,
         progress: ProgressCallback | None = None,
     ) -> list:
         """Simulate degradation curves of every kind under injected faults.
@@ -331,9 +330,7 @@ class DesignSpaceExplorer:
         per-kind :class:`~repro.resilience.sweep.ResilienceSummary`
         records, which are cached on the explorer for
         :meth:`rank_resilience`.  Include ``0`` in ``failure_counts`` so
-        the ``*_vs_baseline`` ratios are anchored.  ``batch=True`` shares
-        each fault arrangement's degraded-topology build across its
-        points (bit-identical, just faster).
+        the ``*_vs_baseline`` ratios are anchored.
         """
         # Imported lazily: repro.core is imported by repro.resilience.
         from repro.resilience.sweep import run_resilience_sweep
@@ -351,7 +348,6 @@ class DesignSpaceExplorer:
             jobs=jobs,
             cache_dir=cache_dir,
             engine=engine,
-            batch=batch,
             progress=progress,
         )
         self._resilience_records.extend(result.summaries)
@@ -384,7 +380,6 @@ class DesignSpaceExplorer:
         rates: Sequence[float] | None = None,
         config=None,
         engine: str = DEFAULT_ENGINE,
-        batch: bool = True,
         cache_dir: str | None = None,
     ):
         """Cycle-accurately validate one explored record.
@@ -397,10 +392,8 @@ class DesignSpaceExplorer:
 
         With ``rates`` the spot check becomes a whole latency/throughput
         curve: an injection sweep over the design, returned as an
-        :class:`~repro.noc.sweep.InjectionSweepResult`.  ``batch``
-        (default on) evaluates all points of the curve over one shared
-        topology / routing / flat-state build — bit-identical to
-        per-point runs, typically severalfold faster.  ``cache_dir``
+        :class:`~repro.noc.sweep.InjectionSweepResult`, whose points
+        share one topology / routing / flat-state build.  ``cache_dir``
         points the curve path at a persistent result store
         (:mod:`repro.store`), so spot checks share results with every
         other execution path using the same store.
@@ -416,7 +409,6 @@ class DesignSpaceExplorer:
                 design.simulation_config(config),
                 rates=rates,
                 engine=engine,
-                batch=batch,
                 cache_dir=cache_dir,
             )
         return record.design.simulate(

@@ -2,8 +2,9 @@
 
 This module is the fan-out layer of the exploration subsystem: it takes a
 grid of simulation candidates — ``(kind, chiplet count, injection rate,
-traffic pattern)`` tuples — and evaluates them across worker processes
-with chunked dispatch, deterministic per-candidate seeding, an on-disk
+traffic pattern)`` tuples — and evaluates them across worker processes,
+with candidates of shared structure grouped into work items that build
+their topology once, deterministic per-candidate seeding, an on-disk
 result cache and a progress callback.
 
 Invariants the rest of the code base relies on:
@@ -421,23 +422,32 @@ def resolve_workload_candidate(candidate: SweepCandidate, config: SimulationConf
     return graph, workload, mapping, traffic
 
 
-def _evaluate_batch_item(
+#: One simulated point of a work item: ``(candidate_index, result,
+#: wall_time_s, engine_that_ran)``.
+_PointOutput = tuple[int, SimulationResult, float, str]
+
+
+def _evaluate_work_item(
     item: tuple[list[tuple[int, SweepCandidate, int]], SimulationConfig, str],
-) -> list[tuple[int, SimulationResult, float, str]]:
-    """Simulate one batch of same-structure candidates in a worker process.
+    on_result: Callable[[_PointOutput], None] | None = None,
+) -> list[_PointOutput]:
+    """Simulate one work item of same-structure candidates (any size, >= 1).
 
     ``item`` carries ``(entries, base_config, engine)`` where every entry
     is ``(candidate_index, candidate, seed)`` and all candidates share a
-    :meth:`SweepCandidate.batch_key`.  The batch builds the (degraded)
+    :meth:`SweepCandidate.batch_key`.  The item builds the (degraded)
     topology, the routing tables and — for workload candidates — the
     trace exactly once and evaluates every injection-rate point through
     :meth:`NocSimulator.run_batch`, which is bit-identical to per-point
-    evaluation under the per-(candidate, point) seeds.
+    evaluation under the per-(candidate, point) seeds.  A one-point item
+    costs the same as a per-point :meth:`NocSimulator.run`.
 
     Each returned tuple carries the point's wall time (the first point of
-    a batch honestly includes the shared build it triggered) and the
+    an item honestly includes the shared build it triggered) and the
     engine that *actually* ran — ``vectorized`` falls back to ``active``
     under a staged router pipeline, and manifests must record the truth.
+    ``on_result``, when given, receives each tuple as soon as its point
+    finishes, before the next point starts.
     """
     entries, config, engine = item
     effective_engine = NocSimulator.resolve_engine(engine, config)
@@ -452,53 +462,22 @@ def _evaluate_batch_item(
         BatchPoint(candidate.injection_rate, seed=seed)
         for _, candidate, seed in entries
     ]
-    walls: list[float] = []
+    outputs: list[_PointOutput] = []
 
-    def _mark(_index: int, _network, _result) -> None:
+    def _mark(index: int, _network, result: SimulationResult) -> None:
         nonlocal start
         now = perf_counter()
-        walls.append(now - start)
+        output = (entries[index][0], result, now - start, effective_engine)
         start = now
+        outputs.append(output)
+        if on_result is not None:
+            on_result(output)
 
-    results = NocSimulator.run_batch(
+    NocSimulator.run_batch(
         graph, points, config=config, traffic=traffic, engine=engine,
         on_point=_mark,
     )
-    return [
-        (index, result, wall, effective_engine)
-        for (index, _, _), result, wall in zip(entries, results, walls)
-    ]
-
-
-def _evaluate_work_item(
-    item: tuple[int, SweepCandidate, SimulationConfig, str],
-) -> tuple[int, SimulationResult, float, str]:
-    """Simulate one candidate (runs inside a worker process).
-
-    The returned tuple carries the engine that *actually* ran
-    (:attr:`NocSimulator.last_engine`) so manifests record the truth when
-    ``vectorized`` falls back to ``active`` under a staged pipeline.
-    """
-    index, candidate, config, engine = item
-    start = perf_counter()
-    if candidate.workload is not None:
-        graph, _, _, traffic = resolve_workload_candidate(candidate, config)
-        simulator = NocSimulator(
-            graph,
-            config,
-            injection_rate=candidate.injection_rate,
-            traffic=traffic,
-        )
-        result = simulator.run(engine=engine)
-    else:
-        simulator = NocSimulator(
-            candidate.build_graph(),
-            config,
-            injection_rate=candidate.injection_rate,
-            traffic=candidate.traffic,
-        )
-        result = simulator.run(engine=engine)
-    return index, result, perf_counter() - start, simulator.last_engine
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +566,13 @@ class InFlightRegistry:
 class ParallelSweepRunner:
     """Fan a grid of simulation candidates across worker processes.
 
+    Candidates that differ only in their injection rate (equal
+    :meth:`SweepCandidate.batch_key`) are always evaluated together,
+    over one shared topology / routing-table / trace / flat-state build
+    (:meth:`NocSimulator.run_batch`); see :meth:`_dispatch`.  Records,
+    seeds and cache entries do not depend on that grouping, nor on
+    ``jobs`` or the engine.
+
     Parameters
     ----------
     config:
@@ -604,17 +590,14 @@ class ParallelSweepRunner:
         job counts, runners and concurrent processes sharing the
         directory.  Legacy flat cache directories are migrated in place
         the first time a store opens them.
-    chunk_size:
-        Candidates per dispatch unit; defaults to
-        :func:`default_chunk_size`.
     engine:
-        Cycle-loop engine passed to :meth:`NocSimulator.run`.
+        Cycle-loop engine passed to :meth:`NocSimulator.run_batch`.
     derive_seeds:
         When ``True`` (default) every candidate gets a seed derived from
         ``config.seed`` and its identity via
         :func:`derive_candidate_seed`; when ``False`` all candidates use
-        ``config.seed`` unchanged (used by the figure sweeps, whose serial
-        reference path runs every point with the base seed).
+        ``config.seed`` unchanged (used by the figure sweeps, which run
+        every point with the base seed).
     in_flight:
         Optional shared :class:`InFlightRegistry`.  When several runners
         in one process (e.g. concurrent service jobs) share a registry,
@@ -630,7 +613,6 @@ class ParallelSweepRunner:
         *,
         jobs: int = 1,
         cache_dir: str | os.PathLike[str] | None = None,
-        chunk_size: int | None = None,
         engine: str = DEFAULT_ENGINE,
         derive_seeds: bool = True,
         in_flight: InFlightRegistry | None = None,
@@ -640,7 +622,6 @@ class ParallelSweepRunner:
         self._config = config if config is not None else SimulationConfig()
         self._jobs = jobs
         self._cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
-        self._chunk_size = chunk_size
         self._engine = engine
         self._derive_seeds = derive_seeds
         self._in_flight = in_flight
@@ -835,11 +816,9 @@ class ParallelSweepRunner:
     ) -> list[SweepRecord]:
         """Evaluate every candidate and return records in candidate order.
 
-        The cache scan, record assembly, progress reporting and the
-        lost-results guard are shared scaffolding; only the dispatch of
-        cache misses (:meth:`_dispatch`) differs between the per-point and
-        the batched runner, so the two can never drift apart in the parts
-        that make their records interchangeable.
+        Cache hits and in-flight followers are resolved here; the cache
+        misses go to :meth:`_dispatch`, which groups them into work items
+        of shared structure.
         """
         ordered = list(candidates)
         total = len(ordered)
@@ -910,9 +889,8 @@ class ParallelSweepRunner:
             if cached is not None:
                 _finish(index, SweepRecord(candidate, seed, cached, from_cache=True))
                 continue
-            config = replace(self._config, seed=seed)
-            _, result, wall, effective = _evaluate_work_item(
-                (index, candidate, config, self._engine)
+            ((_, result, wall, effective),) = _evaluate_work_item(
+                ([(index, candidate, seed)], self._config, self._engine)
             )
             self._cache_store(
                 key, candidate, result, seed=seed, wall_time_s=wall, engine=effective
@@ -932,116 +910,60 @@ class ParallelSweepRunner:
         """Simulate the cache misses; call ``finish`` per completed record.
 
         ``pending`` maps candidate index to ``(candidate, seed, cache
-        key)``.  The base implementation fans individual candidates across
-        the workers; :class:`BatchedSweepRunner` overrides this with
-        whole-batch dispatch.
+        key)``.  Misses that differ at most in their injection rate (equal
+        :meth:`SweepCandidate.batch_key`: same arrangement, traffic or
+        workload, and fault set) are grouped, keeping first-appearance
+        order of groups and candidate order within, so each group shares
+        one topology / routing-table / trace / flat-state build.  With
+        ``jobs > 1`` a group larger than its fair share — about two work
+        items per worker, the load-balancing slack of
+        :func:`default_chunk_size` — is split into consecutive sub-batches,
+        so a single-structure sweep (one arrangement, many rates) still
+        keeps every worker busy.  Grouping is an amortisation only: seeds
+        are per candidate, so records never depend on it.
         """
+        groups: dict[str, list[tuple[int, SweepCandidate, int]]] = {}
+        for index, (candidate, seed, _) in pending.items():
+            group = groups.setdefault(candidate.batch_key(), [])
+            group.append((index, candidate, seed))
+        if self._jobs > 1:
+            max_batch = -(-len(pending) // (self._jobs * 2))
+        else:
+            max_batch = len(pending)
         items = [
-            (index, candidate, replace(self._config, seed=seed), self._engine)
-            for index, (candidate, seed, _) in pending.items()
+            (entries[start : start + max_batch], self._config, self._engine)
+            for entries in groups.values()
+            for start in range(0, len(entries), max_batch)
         ]
 
-        def _on_complete(_done: int, _total: int, value: Any) -> None:
+        def _record(value: _PointOutput) -> tuple[int, SweepRecord]:
             index, result, wall, engine = value
             candidate, seed, key = pending[index]
             self._cache_store(
                 key, candidate, result, seed=seed, wall_time_s=wall, engine=engine
             )
-            finish(
-                index,
-                SweepRecord(candidate, seed, result, wall_time_s=wall),
-            )
+            return index, SweepRecord(candidate, seed, result, wall_time_s=wall)
 
-        parallel_map(
-            _evaluate_work_item,
-            items,
-            jobs=self._jobs,
-            chunk_size=self._chunk_size,
-            progress=_on_complete,
-        )
-
-
-class BatchedSweepRunner(ParallelSweepRunner):
-    """A sweep runner that ships *batches* of same-structure candidates.
-
-    Candidates whose identities differ only in the injection rate (equal
-    :meth:`SweepCandidate.batch_key`: same arrangement, traffic or
-    workload, and fault set) share their expensive build state — topology
-    graph, routing tables, degraded topology, trace schedules and the
-    vectorized engine's flat-state layout — so the runner groups them and
-    dispatches whole batches to the workers, which evaluate them through
-    :meth:`NocSimulator.run_batch <repro.noc.simulator.NocSimulator.run_batch>`
-    instead of rebuilding everything per point.
-
-    The contract of :class:`ParallelSweepRunner` is preserved exactly:
-    records come back in candidate order, per-candidate seeds are derived
-    from the full identity (rate included — effectively per-(candidate,
-    point)), and cache entries are interchangeable between the two
-    runners, so results are bit-identical whichever runner (or ``jobs``
-    count, or engine) produced them.
-
-    Batching and worker fan-out compose rather than compete: with
-    ``jobs > 1`` a group larger than its fair share is split into
-    consecutive sub-batches (each still amortising one shared build), so
-    a single-structure sweep — one arrangement, many rates — keeps every
-    worker busy instead of serialising onto one.
-    """
-
-    def _dispatch(
-        self,
-        pending: dict[int, tuple[SweepCandidate, int, str | None]],
-        finish: Callable[[int, SweepRecord], None],
-    ) -> None:
-        """Ship whole batches of same-structure candidates to the workers."""
-        # Group the misses into batches of shared structure, keeping
-        # first-appearance order of groups and candidate order within.
-        groups: dict[str, list[tuple[int, SweepCandidate, int]]] = {}
-        for index, (candidate, seed, _) in pending.items():
-            groups.setdefault(candidate.batch_key(), []).append(
-                (index, candidate, seed)
-            )
-        # When every group is a singleton (e.g. a single-rate resilience
-        # sweep where each fault set is its own structure) there is
-        # nothing to amortise: a one-point batch pays the shared-build
-        # setup of the batch path for zero reuse.  Fall through to the
-        # per-point dispatch, which is exactly what a
-        # :class:`ParallelSweepRunner` would do.
-        if all(len(entries) == 1 for entries in groups.values()):
-            super()._dispatch(pending, finish)
+        if is_inline(self._jobs, len(items)):
+            # Store and report every point the moment it finishes: a
+            # progress callback that raises (a cancelled job) then stops
+            # the sweep between points and loses nothing simulated.
+            for item in items:
+                _evaluate_work_item(
+                    item, on_result=lambda value: finish(*_record(value))
+                )
             return
-        # With workers available, cap batch size so a few large groups
-        # cannot serialise the sweep onto a single process: aim for
-        # roughly two work items per worker (the load-balancing slack of
-        # default_chunk_size), splitting oversized groups into consecutive
-        # sub-batches that each still share one build.  Never drop below
-        # two points per batch — a one-point batch pays the shared-build
-        # setup without amortising anything and would be strictly worse
-        # than per-point dispatch.
-        if self._jobs > 1:
-            max_batch = max(2, -(-len(pending) // (self._jobs * 2)))
-        else:
-            max_batch = len(pending)
-        items = [
-            (entries[start:start + max_batch], self._config, self._engine)
-            for entries in groups.values()
-            for start in range(0, len(entries), max_batch)
-        ]
 
         def _on_complete(_done: int, _total: int, value: Any) -> None:
-            for index, result, wall, engine in value:
-                candidate, seed, key = pending[index]
-                self._cache_store(
-                    key, candidate, result, seed=seed, wall_time_s=wall, engine=engine
-                )
-                finish(
-                    index,
-                    SweepRecord(candidate, seed, result, wall_time_s=wall),
-                )
+            # Store the whole item before reporting any of it, for the
+            # same reason.
+            for index, record in [_record(output) for output in value]:
+                finish(index, record)
 
-        # Batches are the dispatch unit (chunk_size=1): splitting a batch
-        # further would forfeit the shared build it exists for.
+        # Work items are the dispatch unit (chunk_size=1): their size is
+        # already set by the grouping above.
         parallel_map(
-            _evaluate_batch_item,
+            _evaluate_work_item,
             items,
             jobs=self._jobs,
             chunk_size=1,

@@ -302,9 +302,10 @@ def _assemble_figure7_point(
 ) -> Figure7Point:
     """Attach the link-model bandwidths and build one Figure 7 point.
 
-    The serial path (:func:`evaluate_arrangement_performance`) and the
-    parallel path (:func:`_simulated_point_parallel`) both assemble their
-    points here, so the bandwidth formulas cannot silently diverge.
+    The single-design path (:func:`evaluate_arrangement_performance`) and
+    the sweep-runner path of :func:`run_figure7` (:func:`_simulated_point`)
+    both assemble their points here, so the bandwidth formulas cannot
+    silently diverge.
     """
     link_model = D2DLinkModel(parameters)
     estimate = link_model.estimate_for_arrangement(arrangement)
@@ -326,7 +327,7 @@ def _assemble_figure7_point(
     )
 
 
-def _simulated_point_parallel(
+def _simulated_point(
     arrangement: Arrangement,
     parameters: EvaluationParameters,
     zero_load_result,
@@ -384,20 +385,19 @@ def run_figure7(
     jobs:
         Worker processes for the cycle-accurate points (two simulations
         per point: zero-load and overload).  Every simulation runs with
-        the base configuration seed, so ``jobs > 1`` reproduces the serial
-        results exactly.  Analytical points always run inline (they are
-        orders of magnitude cheaper than the dispatch overhead).
+        the base configuration seed, so ``jobs > 1`` reproduces the
+        ``jobs=1`` results exactly.  Analytical points always run inline
+        (they are orders of magnitude cheaper than the dispatch overhead).
     cache_dir:
         Optional on-disk cache directory for the cycle-accurate points.
     noc_engine:
         Cycle-loop engine used for the cycle-accurate points (all engines
         are bit-identical, so the figure data never depends on it).
     batch:
-        Evaluate the cycle-accurate points batched: the zero-load and
-        overload simulations of one arrangement share a single topology /
-        routing / flat-state build
-        (:class:`repro.core.parallel.BatchedSweepRunner`).  Purely an
-        amortisation — the figure data is bit-identical either way.
+        Deprecated and ignored.  The zero-load and overload simulations
+        of one arrangement always share a single topology / routing /
+        flat-state build (the sweep runner groups them by itself); the
+        keyword is accepted only so existing callers keep working.
     progress:
         Optional ``(done, total, record)`` callback forwarded to the
         cycle-accurate sweep (analytical points never report).
@@ -426,24 +426,13 @@ def run_figure7(
         for kind_name in kinds
     ]
 
-    parallel_sim = (jobs > 1 or cache_dir is not None or batch) and any(
-        count in simulated and count > 1 for _, count in grid_order
-    )
+    sim_designs = [(kind, count) for kind, count in grid_order if count in simulated and count > 1]
     simulated_results: dict[tuple[ArrangementKind, int], Figure7Point] = {}
-    if parallel_sim:
-        from repro.core.parallel import (
-            BatchedSweepRunner,
-            ParallelSweepRunner,
-            SweepCandidate,
-        )
+    if sim_designs:
+        from repro.core.parallel import ParallelSweepRunner, SweepCandidate
         from repro.noc.sweep import ZERO_LOAD_INJECTION_RATE
 
         config = _simulation_config_from(parameters, simulation_config)
-        sim_designs = [
-            (kind, count)
-            for kind, count in grid_order
-            if count in simulated and count > 1
-        ]
         candidates = []
         for kind, count in sim_designs:
             for rate in (ZERO_LOAD_INJECTION_RATE, 1.0):
@@ -452,8 +441,7 @@ def run_figure7(
                         kind=kind.value, num_chiplets=count, injection_rate=rate
                     )
                 )
-        runner_cls = BatchedSweepRunner if batch else ParallelSweepRunner
-        runner = runner_cls(
+        runner = ParallelSweepRunner(
             config, jobs=jobs, cache_dir=cache_dir, engine=noc_engine,
             derive_seeds=False, in_flight=in_flight,
         )
@@ -462,7 +450,7 @@ def run_figure7(
             zero_load = records[2 * pair_index].result
             overload = records[2 * pair_index + 1].result
             arrangement = make_arrangement(kind, count)
-            simulated_results[(kind, count)] = _simulated_point_parallel(
+            simulated_results[(kind, count)] = _simulated_point(
                 arrangement, parameters, zero_load, overload
             )
 
@@ -493,7 +481,6 @@ def run_figure7(
             "simulated_counts": sorted(simulated),
             "counts": counts,
             "jobs": jobs,
-            "batch": batch,
         },
     )
 

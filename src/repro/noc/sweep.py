@@ -25,7 +25,7 @@ from typing import Sequence
 from repro.graphs.model import ChipGraph
 from repro.noc.config import SimulationConfig
 from repro.noc.engine import DEFAULT_ENGINE
-from repro.noc.simulator import NocSimulator, SimulationResult
+from repro.noc.simulator import BatchPoint, NocSimulator, SimulationResult
 from repro.noc.traffic import TrafficPattern
 from repro.utils.validation import check_fraction, check_in_choices
 
@@ -99,25 +99,19 @@ def run_injection_sweep(
     jobs: int = 1,
     cache_dir: str | None = None,
     engine: str = DEFAULT_ENGINE,
-    batch: bool = False,
 ) -> InjectionSweepResult:
     """Simulate the network at a sequence of offered loads.
 
-    With ``jobs > 1`` the offered loads are fanned across worker processes
-    through :class:`repro.core.parallel.ParallelSweepRunner` (every rate
-    runs with the configured base seed, so the curve is identical to a
-    serial sweep).  ``cache_dir`` enables the on-disk result cache.  A
-    :class:`TrafficPattern` *instance* forces the serial path because only
-    pattern names can be shipped to workers.  ``engine`` selects the
-    cycle-loop engine (all engines are bit-identical, so it never changes
-    the curve — only the wall-clock).
-
-    ``batch=True`` evaluates all rates over one shared topology / routing
-    / flat-state build: serial sweeps go through
-    :meth:`NocSimulator.run_batch`, worker-backed sweeps ship whole
-    batches through :class:`repro.core.parallel.BatchedSweepRunner`.
-    Batching is an amortisation, never a semantic change — the curve is
-    bit-identical either way.
+    Every rate runs with the configured base seed over one shared
+    topology / routing / flat-state build.  With ``jobs > 1`` the offered
+    loads are fanned across worker processes through
+    :class:`repro.core.parallel.ParallelSweepRunner`, and ``cache_dir``
+    enables the on-disk result store; otherwise the sweep is one
+    :meth:`NocSimulator.run_batch` call.  A :class:`TrafficPattern`
+    *instance* always takes the in-process path because only pattern
+    names can be shipped to workers.  ``engine`` selects the cycle-loop
+    engine (all engines are bit-identical, so it never changes the curve
+    — only the wall-clock).
     """
     if config is None:
         config = SimulationConfig()
@@ -125,14 +119,9 @@ def run_injection_sweep(
         rates = (0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0)
     for rate in rates:
         check_fraction("injection rate", rate)
-    parallelizable = isinstance(traffic, str) and (jobs > 1 or cache_dir is not None)
-    if parallelizable:
+    if isinstance(traffic, str) and (jobs > 1 or cache_dir is not None):
         # Imported lazily: repro.core imports the noc package at module load.
-        from repro.core.parallel import (
-            BatchedSweepRunner,
-            ParallelSweepRunner,
-            SweepCandidate,
-        )
+        from repro.core.parallel import ParallelSweepRunner, SweepCandidate
 
         edges = tuple(sorted(tuple(sorted(edge)) for edge in graph.edges()))
         candidates = [
@@ -145,26 +134,15 @@ def run_injection_sweep(
             )
             for rate in rates
         ]
-        runner_cls = BatchedSweepRunner if batch else ParallelSweepRunner
-        runner = runner_cls(
+        runner = ParallelSweepRunner(
             config, jobs=jobs, cache_dir=cache_dir, engine=engine, derive_seeds=False
         )
-        records = runner.run(candidates)
-        return InjectionSweepResult(
-            rates=tuple(rates), results=tuple(record.result for record in records)
+        results = tuple(record.result for record in runner.run(candidates))
+    else:
+        points = [BatchPoint(rate) for rate in rates]
+        results = tuple(
+            NocSimulator.run_batch(graph, points, config=config, traffic=traffic, engine=engine)
         )
-    if batch:
-        from repro.noc.simulator import BatchPoint
-
-        results = NocSimulator.run_batch(
-            graph,
-            [BatchPoint(rate) for rate in rates],
-            config=config,
-            traffic=traffic,
-            engine=engine,
-        )
-        return InjectionSweepResult(rates=tuple(rates), results=tuple(results))
-    results = tuple(_simulate(graph, config, rate, traffic, engine) for rate in rates)
     return InjectionSweepResult(rates=tuple(rates), results=results)
 
 

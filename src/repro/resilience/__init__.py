@@ -12,9 +12,9 @@ yield models of :mod:`repro.cost.yield_model`:
   die yield, test coverage and bond yield,
 * :mod:`repro.resilience.sweep` — the resilience sweep proper: simulate
   every (arrangement, failure count, sample, injection rate) candidate
-  through :class:`~repro.core.parallel.ParallelSweepRunner` (or, batched
-  across the rates of one fault arrangement,
-  :class:`~repro.core.parallel.BatchedSweepRunner`) and aggregate
+  through :class:`~repro.core.parallel.ParallelSweepRunner` (which shares
+  one degraded-topology build across the rates of each fault
+  arrangement) and aggregate
   latency / throughput / delivery degradation curves — or, with several
   rates, full degradation surfaces — per arrangement.
 """

@@ -10,13 +10,12 @@ arrangement *at the same rate*.  Comparing how gracefully a HexaMesh
 degrades versus a grid or a brickwall across the whole load range is a
 result the source paper does not report.
 
-Multi-rate grids are the workload the batched runner was built for: all
-rates of one (kind, fault set) share a
-:meth:`~repro.core.parallel.SweepCandidate.batch_key`, so
-``run_resilience_sweep(..., batch=True)`` evaluates them over one shared
-``DegradedTopology`` / routing / flat-state build (bit-identical to the
-per-point path, just faster — the ``resilience-multirate-hexamesh19``
-bench scenario gates the speedup).
+Multi-rate grids are where the runner's grouping pays: all rates of one
+(kind, fault set) share a
+:meth:`~repro.core.parallel.SweepCandidate.batch_key`, so the runner
+evaluates them over one shared ``DegradedTopology`` / routing /
+flat-state build (bit-identical to per-point runs, just faster — the
+``resilience-multirate-hexamesh19`` bench scenario gates the speedup).
 
 Candidates ride the ordinary :class:`~repro.core.parallel.SweepCandidate`
 / :class:`~repro.core.parallel.ParallelSweepRunner` machinery: fault
@@ -35,7 +34,6 @@ from typing import Iterable, Sequence
 
 from repro.arrangements.factory import make_arrangement
 from repro.core.parallel import (
-    BatchedSweepRunner,
     InFlightRegistry,
     ParallelSweepRunner,
     ProgressCallback,
@@ -122,7 +120,7 @@ def resilience_grid(
     the rate, and the rate loop is innermost: all rates of one fault
     arrangement are adjacent in the returned grid and share a
     :meth:`~repro.core.parallel.SweepCandidate.batch_key`, which is what
-    lets the batched runner evaluate them over one topology build.
+    lets the runner evaluate them over one topology build.
     """
     check_positive_int("num_chiplets", num_chiplets)
     check_positive_int("samples", samples)
@@ -405,7 +403,6 @@ def run_resilience_sweep(
     cache_dir: str | None = None,
     engine: str = DEFAULT_ENGINE,
     regularity: str | None = None,
-    batch: bool = False,
     progress: ProgressCallback | None = None,
     in_flight: InFlightRegistry | None = None,
 ) -> ResilienceSweepResult:
@@ -419,14 +416,11 @@ def run_resilience_sweep(
 
     ``injection_rates`` evaluates every sampled fault arrangement at
     every rate, turning the per-kind curves into degradation *surfaces*
-    (``None`` keeps the single ``injection_rate``).  ``batch=True``
-    routes the grid through
-    :class:`~repro.core.parallel.BatchedSweepRunner`: all rates of one
+    (``None`` keeps the single ``injection_rate``).  All rates of one
     fault arrangement share its
     :class:`~repro.noc.faults.DegradedTopology`, routing tables and
-    flat-state build, which is where multi-rate sweeps recover the
-    batching win.  Results are bit-identical either way — and across
-    engines and ``jobs`` — because every candidate keeps its own
+    flat-state build in the runner.  Results are bit-identical across
+    engines and ``jobs`` because every candidate keeps its own
     SHA-256-derived seed.
     """
     if config is None:
@@ -444,8 +438,7 @@ def run_resilience_sweep(
         seed=config.seed,
         regularity=regularity,
     )
-    runner_cls = BatchedSweepRunner if batch else ParallelSweepRunner
-    runner = runner_cls(
+    runner = ParallelSweepRunner(
         config, jobs=jobs, cache_dir=cache_dir, engine=engine, in_flight=in_flight
     )
     records = tuple(runner.run(candidates, progress=progress))

@@ -26,11 +26,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Iterator, Mapping
 
-from repro.core.parallel import (
-    BatchedSweepRunner,
-    InFlightRegistry,
-    ParallelSweepRunner,
-)
+from repro.core.parallel import InFlightRegistry, ParallelSweepRunner
 from repro.service.specs import JobSpec, job_spec
 from repro.service.tables import (
     RESILIENCE_HEADER,
@@ -321,8 +317,7 @@ class JobManager:
 
     def _run_sweep(self, spec: JobSpec, progress) -> dict[str, Any]:
         config = spec.config()
-        runner_cls = BatchedSweepRunner if spec.param("batch") else ParallelSweepRunner
-        runner = runner_cls(
+        runner = ParallelSweepRunner(
             config,
             jobs=spec.param("jobs"),
             cache_dir=self._cache_dir,
@@ -390,7 +385,6 @@ class JobManager:
             jobs=spec.param("jobs"),
             cache_dir=self._cache_dir,
             engine=spec.param("engine"),
-            batch=spec.param("batch"),
             progress=progress,
             in_flight=self._in_flight,
         )
@@ -412,7 +406,6 @@ class JobManager:
             jobs=spec.param("jobs"),
             cache_dir=self._cache_dir,
             noc_engine=spec.param("engine"),
-            batch=spec.param("batch"),
             progress=progress,
             in_flight=self._in_flight,
         )

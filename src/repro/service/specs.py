@@ -128,7 +128,6 @@ def _spec_fields(job_type: str) -> dict[str, tuple]:
             rates=(lambda v: _as_list(v, float, "rates"), (0.02, 0.1, 0.3)),
             traffic=(lambda v: _as_list(v, str, "traffic"), ("uniform",)),
             regularity=(lambda v: None if v is None else str(v), None),
-            batch=(lambda v: bool(v), False),
         )
     elif job_type == "workload":
         fields.update(
@@ -157,7 +156,6 @@ def _spec_fields(job_type: str) -> dict[str, tuple]:
             ),
             traffic=(lambda v: str(v), "uniform"),
             regularity=(lambda v: None if v is None else str(v), None),
-            batch=(lambda v: bool(v), False),
         )
     elif job_type == "figure7":
         # Figure 7 runs the paper's evaluation parameters; it has no
@@ -171,7 +169,6 @@ def _spec_fields(job_type: str) -> dict[str, tuple]:
                 lambda v: None if v is None else _as_list(v, int, "sim_points"),
                 None,
             ),
-            batch=(lambda v: bool(v), False),
         )
     else:  # pragma: no cover - guarded by the caller
         raise ValueError(f"unknown job type {job_type!r}")

@@ -32,7 +32,9 @@ Layout (``STORE_SCHEMA`` 2)::
   layouts newer than this code are rejected with
   :class:`StoreSchemaError` instead of being misread.
 * **Generation-guarded hygiene.**  Every open bumps a persistent
-  generation counter and temp files embed ``(generation, pid)``.  The
+  generation counter and temp files embed ``(generation, pid)`` plus a
+  per-process write counter, so two handles or threads of one process
+  never share a temp file.  The
   orphan sweep removes only temp files from *older* generations whose
   writer pid is dead: a recycled pid can never alias a live writer's
   temp file, because any live writer opened the store later and
@@ -43,6 +45,7 @@ Layout (``STORE_SCHEMA`` 2)::
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -68,8 +71,20 @@ _QUARANTINE_DIR = "quarantine"
 _SHARD_WIDTH = 2
 
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
-_TMP_RE = re.compile(r"^(?P<stem>.+\.json)\.tmp\.g(?P<gen>\d+)\.p(?P<pid>\d+)$")
+# Temp names are ``<name>.tmp.g<gen>.p<pid>.n<write>``; the ``.n`` suffix
+# is optional so temp files of earlier versions still parse.
+_TMP_RE = re.compile(r"^(?P<stem>.+\.json)\.tmp\.g(?P<gen>\d+)\.p(?P<pid>\d+)(?:\.n\d+)?$")
 _LEGACY_TMP_RE = re.compile(r"^(?P<stem>.+\.json)\.tmp\.(?P<pid>\d+)$")
+
+
+#: Process-wide temp-file serial (``next`` on a count is atomic under the
+#: GIL), so concurrent writes of one process never collide on a temp name.
+_TMP_SERIAL = itertools.count()
+
+
+def _tmp_path(path: str, generation: int) -> str:
+    """A temp-file name for one write of ``path``, unique in this process."""
+    return f"{path}.tmp.g{generation}.p{os.getpid()}.n{next(_TMP_SERIAL)}"
 
 
 class StoreSchemaError(RuntimeError):
@@ -258,7 +273,7 @@ class ResultStore:
 
     def _write_meta(self) -> None:
         payload = {"schema": STORE_SCHEMA, "generation": self._generation}
-        tmp_path = f"{self._meta_path()}.tmp.g{self._generation}.p{os.getpid()}"
+        tmp_path = _tmp_path(self._meta_path(), self._generation)
         try:
             with open(tmp_path, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle)
@@ -347,7 +362,7 @@ class ResultStore:
     ) -> str:
         """Atomically publish one entry; returns its path.
 
-        The write goes to a generation-and-pid-stamped temp file in the
+        The write goes to a uniquely named temp file in the
         target shard and lands with :func:`os.replace`, so a concurrent
         reader observes either the previous complete entry or the new
         complete entry, never bytes in between.
@@ -361,7 +376,7 @@ class ResultStore:
             "result": result,
             "manifest": manifest,
         }
-        tmp_path = f"{path}.tmp.g{self._generation}.p{os.getpid()}"
+        tmp_path = _tmp_path(path, self._generation)
         try:
             with open(tmp_path, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle)

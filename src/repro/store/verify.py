@@ -106,7 +106,9 @@ def verify_entry(entry: StoreEntry, *, engine: str | None = None) -> VerifyOutco
             "stored key does not hash from the stored candidate + config",
         )
     run_engine = engine if engine is not None else manifest.get("engine", DEFAULT_ENGINE)
-    _, result, wall, _ = _evaluate_work_item((0, candidate, config, run_engine))
+    ((_, result, wall, _),) = _evaluate_work_item(
+        ([(0, candidate, config.seed)], config, run_engine)
+    )
     fresh = canonical_result_json(simulation_result_to_dict(result))
     stored = canonical_result_json(entry.result)
     if fresh != stored:

@@ -97,17 +97,17 @@ class TestFeasibilityCommand:
         assert main(["feasibility", "grid", "100", "--silicon-interposer"]) == 0
 
 
-class TestBatchFlag:
-    def test_sweep_batch_matches_per_point_csv(self, tmp_path):
-        per_point = tmp_path / "per_point.csv"
-        batched = tmp_path / "batched.csv"
+class TestSweepOptions:
+    def test_sweep_csv_does_not_depend_on_jobs(self, tmp_path):
+        inline = tmp_path / "inline.csv"
+        workers = tmp_path / "workers.csv"
         base = ["sweep", "--kinds", "grid", "--chiplets", "9",
                 "--rates", "0.05,0.2", "--cycles", "200"]
-        assert main(base + ["--output", str(per_point)]) == 0
-        assert main(base + ["--batch", "--output", str(batched)]) == 0
-        # Batching is an amortisation, never a semantic change: the CSV
-        # (latencies, throughput, delivery ratios) is byte-identical.
-        assert batched.read_text() == per_point.read_text()
+        assert main(base + ["--output", str(inline)]) == 0
+        assert main(base + ["--jobs", "2", "--output", str(workers)]) == 0
+        # One grouped work item inline, two split ones across workers:
+        # the CSV (latencies, throughput, delivery ratios) is byte-identical.
+        assert workers.read_text() == inline.read_text()
 
     def test_sweep_regularity_changes_the_swept_arrangement(self, tmp_path):
         # 12 chiplets admit both a semi-regular and an irregular grid, so
@@ -129,10 +129,10 @@ class TestBatchFlag:
                   "--regularity", "fractal"])
         assert "--regularity" in capsys.readouterr().err
 
-    def test_figure6_warns_about_ignored_batch_flag(self, capsys):
-        assert main(["figure", "6", "--max-chiplets", "6", "--batch"]) == 0
-        assert "--batch" in capsys.readouterr().err
+    def test_figure6_warns_about_ignored_flags(self, capsys):
+        assert main(["figure", "6", "--max-chiplets", "6", "--jobs", "2"]) == 0
+        assert "--jobs" in capsys.readouterr().err
 
-    def test_figure7_analytical_warns_about_ignored_batch_flag(self, capsys):
-        assert main(["figure", "7", "--max-chiplets", "6", "--batch"]) == 0
-        assert "--batch" in capsys.readouterr().err
+    def test_figure7_analytical_warns_about_ignored_flags(self, capsys):
+        assert main(["figure", "7", "--max-chiplets", "6", "--jobs", "2"]) == 0
+        assert "--jobs" in capsys.readouterr().err

@@ -4,21 +4,24 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.core.parallel import (
-    BatchedSweepRunner,
     ParallelSweepRunner,
     SweepCandidate,
     SweepRecord,
     default_chunk_size,
     derive_candidate_seed,
     parallel_map,
+    resolve_workload_candidate,
     simulation_result_from_dict,
     simulation_result_to_dict,
 )
 from repro.noc.config import SimulationConfig
+from repro.noc.engine import ENGINE_NAMES
+from repro.noc.simulator import NocSimulator
 from repro.store import ResultStore
 
 FAST_CONFIG = SimulationConfig(
@@ -177,20 +180,138 @@ class TestBatchKeys:
         assert derive_candidate_seed(1, low) != derive_candidate_seed(1, high)
 
 
-class TestBatchedSweepRunner:
-    def test_records_identical_to_per_point_runner(self):
-        reference = ParallelSweepRunner(FAST_CONFIG, jobs=1).run(GRID)
-        batched = BatchedSweepRunner(FAST_CONFIG, jobs=1).run(GRID)
-        assert batched == reference
+#: A grid mixing every dispatch shape, in interleaved order: three
+#: multi-rate groups (healthy, faulted and workload) and a healthy and a
+#: faulted singleton.
+MIXED_GRID = [
+    SweepCandidate(kind="grid", num_chiplets=9, injection_rate=0.05),
+    SweepCandidate(kind="hexamesh", num_chiplets=7, injection_rate=0.1),
+    SweepCandidate(
+        kind="grid", num_chiplets=9, injection_rate=0.05, failed_links=((0, 1),)
+    ),
+    SweepCandidate(kind="grid", num_chiplets=9, injection_rate=0.3),
+    *ParallelSweepRunner.workload_grid(
+        ("hexamesh",), (7,), ("dnn-pipeline",), ("partition",),
+        injection_rates=(0.05, 0.2),
+    ),
+    SweepCandidate(
+        kind="grid", num_chiplets=9, injection_rate=0.3, failed_links=((0, 1),)
+    ),
+    SweepCandidate(
+        kind="hexamesh", num_chiplets=9, injection_rate=0.1, failed_links=((0, 1),)
+    ),
+]
 
-    def test_parallel_batches_match_serial(self):
-        serial = BatchedSweepRunner(FAST_CONFIG, jobs=1).run(GRID)
-        parallel = BatchedSweepRunner(FAST_CONFIG, jobs=4).run(GRID)
-        assert parallel == serial
 
-    def test_cache_entries_interchange_with_per_point_runner(self, tmp_path):
+def _per_candidate_results(candidates, config=FAST_CONFIG):
+    """Reference: one fresh legacy-engine ``NocSimulator.run`` per candidate."""
+    results = []
+    for candidate in candidates:
+        if candidate.workload is not None:
+            graph, _, _, traffic = resolve_workload_candidate(candidate, config)
+        else:
+            graph, traffic = candidate.build_graph(), candidate.traffic
+        seed = derive_candidate_seed(config.seed, candidate)
+        simulator = NocSimulator(
+            graph,
+            replace(config, seed=seed),
+            injection_rate=candidate.injection_rate,
+            traffic=traffic,
+        )
+        results.append(simulator.run(engine="legacy"))
+    return results
+
+
+@pytest.fixture(scope="module")
+def mixed_reference():
+    return _per_candidate_results(MIXED_GRID)
+
+
+def _dispatched_items(monkeypatch, *, jobs, candidates):
+    """Run ``candidates`` and return the work items the runner dispatched.
+
+    Inline runs (``jobs=1``) call the evaluator directly; pooled runs hand
+    it to :func:`parallel_map`, which is spied on instead because a
+    patched evaluator would not pickle into the workers.
+    """
+    import repro.core.parallel as parallel_module
+
+    dispatched = []
+    if jobs == 1:
+        real_evaluate = parallel_module._evaluate_work_item
+
+        def spy_evaluate(item, on_result=None):
+            dispatched.append(item)
+            return real_evaluate(item, on_result)
+
+        monkeypatch.setattr(parallel_module, "_evaluate_work_item", spy_evaluate)
+    else:
+        real_map = parallel_module.parallel_map
+
+        def spy_map(function, items, **kwargs):
+            items = list(items)
+            dispatched.extend(items)
+            return real_map(function, items, **kwargs)
+
+        monkeypatch.setattr(parallel_module, "parallel_map", spy_map)
+    ParallelSweepRunner(FAST_CONFIG, jobs=jobs).run(candidates)
+    return dispatched
+
+
+class TestRunnerContract:
+    """Grouping by shared structure never changes a record."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_records_equal_per_candidate_runs(self, mixed_reference, engine, jobs):
+        records = ParallelSweepRunner(FAST_CONFIG, jobs=jobs, engine=engine).run(
+            MIXED_GRID
+        )
+        assert [record.candidate for record in records] == MIXED_GRID
+        assert [record.result for record in records] == mixed_reference
+        assert [record.seed for record in records] == [
+            derive_candidate_seed(FAST_CONFIG.seed, c) for c in MIXED_GRID
+        ]
+
+    def test_groups_by_structure_at_one_job(self, monkeypatch):
+        items = _dispatched_items(monkeypatch, jobs=1, candidates=MIXED_GRID)
+        assert [[index for index, _, _ in entries] for entries, _, _ in items] == [
+            [0, 3], [1], [2, 6], [4, 5], [7],
+        ]
+
+    def test_two_point_group_splits_across_two_workers(self, monkeypatch):
+        candidates = ParallelSweepRunner.grid(["grid"], [9], [0.05, 0.3])
+        items = _dispatched_items(monkeypatch, jobs=2, candidates=candidates)
+        assert [[index for index, _, _ in entries] for entries, _, _ in items] == [
+            [0], [1],
+        ]
+
+    @pytest.mark.parametrize(("jobs", "kept"), [(1, 1), (2, 3)])
+    def test_raising_progress_keeps_every_simulated_point(self, tmp_path, jobs, kept):
+        # Four arrangements x three rates.  Inline, each point is stored
+        # and reported before the next one runs; across two workers the
+        # grid travels as four 3-point items, each stored whole before
+        # any of its points is reported.
+        candidates = ParallelSweepRunner.grid(
+            ["grid", "hexamesh"], [7, 9], [0.05, 0.1, 0.3]
+        )
+
+        class Stop(Exception):
+            pass
+
+        def stop(_done, _total, _record):
+            raise Stop
+
         cache = str(tmp_path / "cache")
-        first = BatchedSweepRunner(FAST_CONFIG, jobs=1, cache_dir=cache).run(GRID)
+        runner = ParallelSweepRunner(FAST_CONFIG, jobs=jobs, cache_dir=cache)
+        with pytest.raises(Stop):
+            runner.run(candidates, progress=stop)
+        rerun = ParallelSweepRunner(FAST_CONFIG, cache_dir=cache).run(candidates)
+        assert sum(record.from_cache for record in rerun) == kept
+
+    def test_cache_entries_interchange_across_jobs(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        first = ParallelSweepRunner(FAST_CONFIG, jobs=2, cache_dir=cache).run(GRID)
         assert all(not record.from_cache for record in first)
         second = ParallelSweepRunner(FAST_CONFIG, jobs=1, cache_dir=cache).run(GRID)
         assert all(record.from_cache for record in second)
@@ -198,100 +319,21 @@ class TestBatchedSweepRunner:
 
     def test_progress_reports_every_candidate(self):
         seen = []
-        BatchedSweepRunner(FAST_CONFIG, jobs=1).run(
+        ParallelSweepRunner(FAST_CONFIG, jobs=1).run(
             GRID, progress=lambda done, total, record: seen.append((done, total))
         )
-        assert seen[-1] == (len(GRID), len(GRID))
-        assert len(seen) == len(GRID)
+        assert seen == [(done, len(GRID)) for done in range(1, len(GRID) + 1)]
 
-    def test_workload_grid_matches_per_point_runner(self):
-        grid = ParallelSweepRunner.workload_grid(
-            ("hexamesh",), (7,), ("dnn-pipeline",), ("partition",),
-            injection_rates=(0.05, 0.2),
-        )
-        reference = ParallelSweepRunner(FAST_CONFIG, jobs=1).run(grid)
-        batched = BatchedSweepRunner(FAST_CONFIG, jobs=1).run(grid)
-        assert batched == reference
-
-    def test_faulted_candidates_match_per_point_runner(self):
-        candidates = [
-            SweepCandidate(
-                kind="grid", num_chiplets=9, injection_rate=rate,
-                failed_links=((0, 1),),
-            )
-            for rate in (0.05, 0.3)
-        ]
-        reference = ParallelSweepRunner(FAST_CONFIG, jobs=1).run(candidates)
-        batched = BatchedSweepRunner(FAST_CONFIG, jobs=1).run(candidates)
-        assert batched == reference
-
-    def test_derive_seeds_false_matches_per_point_runner(self):
-        reference = ParallelSweepRunner(FAST_CONFIG, derive_seeds=False).run(GRID)
-        batched = BatchedSweepRunner(FAST_CONFIG, derive_seeds=False).run(GRID)
-        assert batched == reference
-        assert {record.seed for record in batched} == {FAST_CONFIG.seed}
-
-
-#: A single-rate grid: every candidate is its own batch group (distinct
-#: arrangement structure, one injection rate each), the shape of the
-#: resilience sweeps that used to pay batch-grouping overhead for nothing.
-SINGLETON_GRID = ParallelSweepRunner.grid(
-    ["grid", "hexamesh"], [7, 9], [0.1], ["uniform"]
-)
-
-
-class TestSingletonBatchFallThrough:
-    """Size-1 batch groups take the per-point dispatch path.
-
-    This is the no-slowdown regression guard for single-rate sweeps: when
-    every group is a singleton the batched runner must execute *exactly*
-    the :class:`ParallelSweepRunner` dispatch (same worker function, same
-    work items), so its cost over the per-point runner is only the
-    trivial grouping pass — there is no batch-path setup left to pay.
-    """
-
-    def test_singleton_groups_use_per_point_dispatch(self, monkeypatch):
-        import repro.core.parallel as parallel_module
-
-        def no_batches(*_args, **_kwargs):  # pragma: no cover - guard
-            raise AssertionError(
-                "singleton batch groups must fall through to the "
-                "per-point dispatch path"
-            )
-
-        monkeypatch.setattr(parallel_module, "_evaluate_batch_item", no_batches)
-        reference = ParallelSweepRunner(FAST_CONFIG, jobs=1).run(SINGLETON_GRID)
-        batched = BatchedSweepRunner(FAST_CONFIG, jobs=1).run(SINGLETON_GRID)
-        assert batched == reference
-
-    def test_multi_point_groups_still_use_batches(self, monkeypatch):
-        import repro.core.parallel as parallel_module
-
-        def no_per_point(*_args, **_kwargs):  # pragma: no cover - guard
-            raise AssertionError(
-                "multi-point batch groups must stay on the batch path"
-            )
-
-        monkeypatch.setattr(parallel_module, "_evaluate_work_item", no_per_point)
-        records = BatchedSweepRunner(FAST_CONFIG, jobs=1).run(GRID)
-        assert [record.candidate for record in records] == GRID
-
-    def test_singleton_fall_through_with_cache(self, tmp_path, monkeypatch):
-        """Cache entries stay interchangeable across the fall-through."""
-        import repro.core.parallel as parallel_module
-
-        cache = str(tmp_path / "cache")
-        first = BatchedSweepRunner(
-            FAST_CONFIG, jobs=1, cache_dir=cache
-        ).run(SINGLETON_GRID)
-        monkeypatch.setattr(
-            parallel_module, "_evaluate_work_item", None
-        )  # cache hits never dispatch
-        second = ParallelSweepRunner(
-            FAST_CONFIG, jobs=1, cache_dir=cache
-        ).run(SINGLETON_GRID)
-        assert all(record.from_cache for record in second)
-        assert [r.result for r in second] == [r.result for r in first]
+    def test_derive_seeds_false_runs_every_point_on_the_base_seed(self):
+        records = ParallelSweepRunner(FAST_CONFIG, derive_seeds=False).run(GRID)
+        assert {record.seed for record in records} == {FAST_CONFIG.seed}
+        for record in records[:2]:
+            expected = NocSimulator(
+                record.candidate.build_graph(),
+                FAST_CONFIG,
+                injection_rate=record.candidate.injection_rate,
+            ).run(engine="legacy")
+            assert record.result == expected
 
 
 class TestCacheTmpHygiene:

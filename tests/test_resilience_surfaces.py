@@ -1,8 +1,10 @@
 """Multi-rate degradation surfaces: equivalence, aggregation, derived metrics.
 
 The batching-gap regression suite: a resilience sweep over several
-injection rates must produce **bit-identical** records whether it runs
-per-point or batched, on any engine, with any worker count — and the
+injection rates — whose rates the runner groups over one build per fault
+arrangement — must produce records **bit-identical** to one fresh
+per-point simulation per candidate, on any engine, with any worker
+count — and the
 surface-shaped aggregation (per-rate baselines, the rate selector of
 ``curve()``, the saturation-rate-vs-faults derived curve) must stay
 consistent with the flat summaries.
@@ -11,14 +13,16 @@ consistent with the flat summaries.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.parallel import ParallelSweepRunner, SweepCandidate
+from repro.core.parallel import ParallelSweepRunner, SweepCandidate, derive_candidate_seed
 from repro.noc.config import SimulationConfig
 from repro.noc.engine import ENGINE_NAMES
+from repro.noc.simulator import NocSimulator
 from repro.resilience import (
     EXPLICIT_FAULT_TYPE,
     FAULT_TYPES,
@@ -51,17 +55,28 @@ def _surface_sweep(**overrides):
 
 @pytest.fixture(scope="module")
 def reference_sweep():
-    """The per-point legacy run every other mode must reproduce exactly."""
-    return _surface_sweep(engine="legacy", batch=False, jobs=1)
+    """The legacy run every other mode must reproduce exactly."""
+    return _surface_sweep(engine="legacy", jobs=1)
 
 
 class TestSurfaceEquivalence:
+    def test_reference_equals_per_point_simulations(self, reference_sweep):
+        # One fresh simulator per candidate, with the runner's derived
+        # seed: grouping the rates of a fault arrangement changes nothing.
+        for record in reference_sweep.records:
+            candidate = record.candidate
+            expected = NocSimulator(
+                candidate.build_graph(),
+                replace(FAST_CONFIG, seed=record.seed),
+                injection_rate=candidate.injection_rate,
+                traffic=candidate.traffic,
+            ).run(engine="legacy")
+            assert record.seed == derive_candidate_seed(FAST_CONFIG.seed, candidate)
+            assert record.result == expected
+
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
-    @pytest.mark.parametrize("batch", [False, True], ids=["per-point", "batched"])
-    def test_bit_identical_across_engines_and_batching(
-        self, reference_sweep, engine, batch
-    ):
-        sweep = _surface_sweep(engine=engine, batch=batch)
+    def test_bit_identical_across_engines(self, reference_sweep, engine):
+        sweep = _surface_sweep(engine=engine)
         # Point-by-point: same candidates in the same order, each with an
         # identical simulation result.
         assert [r.candidate for r in sweep.records] == [
@@ -72,9 +87,8 @@ class TestSurfaceEquivalence:
         ]
         assert sweep.summaries == reference_sweep.summaries
 
-    @pytest.mark.parametrize("batch", [False, True], ids=["per-point", "batched"])
-    def test_jobs_do_not_change_the_surface(self, reference_sweep, batch):
-        sweep = _surface_sweep(engine="vectorized", batch=batch, jobs=2)
+    def test_jobs_do_not_change_the_surface(self, reference_sweep):
+        sweep = _surface_sweep(engine="vectorized", jobs=2)
         assert [r.result for r in sweep.records] == [
             r.result for r in reference_sweep.records
         ]

@@ -38,7 +38,6 @@ def _forbid_simulation(monkeypatch):
         raise AssertionError("a warm run must not invoke the simulator")
 
     monkeypatch.setattr(parallel_module, "_evaluate_work_item", boom)
-    monkeypatch.setattr(parallel_module, "_evaluate_batch_item", boom)
 
 
 @pytest.fixture
@@ -66,6 +65,11 @@ class TestJobSpec:
     def test_unknown_fields_are_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep spec field.*chiplet"):
             job_spec({"type": "sweep", "chiplet": [7]})
+
+    @pytest.mark.parametrize("job_type", ["sweep", "resilience", "figure7"])
+    def test_retired_batch_field_is_rejected(self, job_type):
+        with pytest.raises(ValueError, match=f"unknown {job_type} spec field.*batch"):
+            job_spec(dict(type=job_type, batch=True))
 
     def test_unknown_type_and_missing_type_are_rejected(self):
         with pytest.raises(ValueError, match="needs a 'type'"):
@@ -175,9 +179,9 @@ class TestJobLifecycle:
         gate = threading.Semaphore(0)
         real = parallel_module._evaluate_work_item
 
-        def gated(item):
+        def gated(item, on_result=None):
             gate.acquire()
-            return real(item)
+            return real(item, on_result)
 
         monkeypatch.setattr(parallel_module, "_evaluate_work_item", gated)
         # Fill both worker threads so the third submission stays queued.
@@ -213,18 +217,19 @@ class TestCrossJobDeduplication:
         simulated: set[tuple] = set()
         real = parallel_module._evaluate_work_item
 
-        def once_per_key(item):
-            _, candidate, _, _ = item
-            key = (candidate.kind, candidate.num_chiplets, candidate.injection_rate)
-            with lock:
-                if key in simulated:
-                    raise AssertionError(f"candidate {key} simulated twice")
-                simulated.add(key)
+        def once_per_key(item, on_result=None):
+            entries, _, _ = item
+            for _, candidate, _ in entries:
+                key = (candidate.kind, candidate.num_chiplets, candidate.injection_rate)
+                with lock:
+                    if key in simulated:
+                        raise AssertionError(f"candidate {key} simulated twice")
+                    simulated.add(key)
             # Stretch the simulation window so the two jobs genuinely
             # overlap on the in-flight registry rather than racing past
             # each other into the store.
             time.sleep(0.2)
-            return real(item)
+            return real(item, on_result)
 
         monkeypatch.setattr(parallel_module, "_evaluate_work_item", once_per_key)
         first = manager.submit(SWEEP_SPEC)
@@ -243,13 +248,14 @@ class TestCancelAndResume:
         gate = threading.Semaphore(0)
         real = parallel_module._evaluate_work_item
 
-        def gated(item):
+        def gated(item, on_result=None):
             gate.acquire()
-            return real(item)
+            return real(item, on_result)
 
         monkeypatch.setattr(parallel_module, "_evaluate_work_item", gated)
         job = manager.submit(SWEEP_SPEC)
-        gate.release(2)
+        # One work item: the two rates of the first arrangement.
+        gate.release(1)
         deadline = time.monotonic() + 60
         while manager.status(job.id)["snapshots"] < 2:
             assert time.monotonic() < deadline, "first two candidates never landed"
@@ -277,13 +283,58 @@ class TestCancelAndResume:
         assert third["cache"]["simulated"] == 0
         assert third["csv"] == result["csv"]
 
+    def test_cancel_inside_a_multi_rate_item_keeps_every_point(
+        self, manager, monkeypatch
+    ):
+        # One arrangement, four rates: a single work item at jobs=1.
+        spec = {
+            "type": "sweep",
+            "kinds": ["hexamesh"],
+            "chiplets": [7],
+            "rates": [0.02, 0.05, 0.1, 0.3],
+            "cycles": 80,
+        }
+        submitted = threading.Event()
+        job_ids: list[str] = []
+        simulated: list[int] = []
+        real = parallel_module._evaluate_work_item
+
+        def cancel_after_first_point(item, on_result=None):
+            submitted.wait(timeout=60)
+
+            def _on_result(output):
+                simulated.append(output[0])
+                on_result(output)
+                manager.cancel(job_ids[0])
+
+            return real(item, _on_result)
+
+        monkeypatch.setattr(
+            parallel_module, "_evaluate_work_item", cancel_after_first_point
+        )
+        job = manager.submit(spec)
+        job_ids.append(job.id)
+        submitted.set()
+        assert job.wait(timeout=120)
+        assert manager.status(job.id)["state"] == "cancelled"
+        # The cancel lands at the second point's progress report: the
+        # rest of the item never runs.
+        assert len(simulated) == 2
+
+        monkeypatch.setattr(parallel_module, "_evaluate_work_item", real)
+        result = manager.result(manager.resume(job.id).id, timeout=120)
+        # Both points simulated before the cut are store hits; only the
+        # two that never ran are simulated.
+        assert result["cache"]["cache_hits"] == 2
+        assert result["cache"]["simulated"] == 2
+
     def test_resume_requires_a_terminal_job(self, manager, monkeypatch):
         gate = threading.Semaphore(0)
         real = parallel_module._evaluate_work_item
 
-        def gated(item):
+        def gated(item, on_result=None):
             gate.acquire()
-            return real(item)
+            return real(item, on_result)
 
         monkeypatch.setattr(parallel_module, "_evaluate_work_item", gated)
         job = manager.submit(SWEEP_SPEC)

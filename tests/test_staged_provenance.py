@@ -15,7 +15,7 @@ import warnings
 
 import pytest
 
-from repro.core.parallel import BatchedSweepRunner, ParallelSweepRunner
+from repro.core.parallel import ParallelSweepRunner
 from repro.noc.config import SimulationConfig
 from repro.noc.simulator import NocSimulator, _reset_staged_fallback_warning
 from repro.store import ResultStore
@@ -98,7 +98,7 @@ class TestStagedManifestsTellTheTruth:
 
     def test_batched_staged_entries_record_active_and_replay(self, tmp_path):
         _reset_staged_fallback_warning()
-        runner = BatchedSweepRunner(
+        runner = ParallelSweepRunner(
             STAGED_CONFIG, jobs=1, cache_dir=tmp_path, engine="vectorized"
         )
         candidates = ParallelSweepRunner.grid(["grid"], [7], [0.05, 0.3])
@@ -110,9 +110,9 @@ class TestStagedManifestsTellTheTruth:
             assert entry.manifest["engine"] == "active"
             outcome = verify_entry(entry)
             assert outcome.ok, outcome
-        # Batched staged-fallback results stay bit-identical to the
+        # Grouped staged-fallback results stay bit-identical to the
         # engine that actually ran them.
-        golden = BatchedSweepRunner(STAGED_CONFIG, jobs=1, engine="active").run(
+        golden = ParallelSweepRunner(STAGED_CONFIG, jobs=1, engine="active").run(
             candidates
         )
         assert [record.result for record in records] == [

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import asdict, replace
 
 import pytest
@@ -286,6 +287,69 @@ class TestInterruptedWriteRecovery:
             handle.write("{}")
         assert store.stats().orphan_tmp == 1
         assert os.path.exists(tmp_name)
+
+
+    def test_serial_suffixed_tmp_of_dead_writer_is_swept_on_open(self, tmp_path):
+        # Temp names may carry a per-process write serial after the pid;
+        # the orphan sweep must parse them as it parses serial-less ones.
+        store = ResultStore(str(tmp_path))
+        probe = subprocess.Popen([sys.executable, "-c", ""])
+        probe.wait()
+        shard = os.path.dirname(store.entry_path(KEY_B))
+        os.makedirs(shard, exist_ok=True)
+        orphan = os.path.join(shard, f"{KEY_B}.json.tmp.g1.p{probe.pid}.n17")
+        live = os.path.join(shard, f"{KEY_A}.json.tmp.g1.p{os.getpid()}.n18")
+        for path in (orphan, live):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("{}")
+        reopened = ResultStore(str(tmp_path))
+        assert not os.path.exists(orphan)
+        assert os.path.exists(live)
+        assert reopened.stats().orphan_tmp == 1
+
+
+class TestInProcessWriters:
+    def test_threads_opening_and_storing_one_key_never_collide(self, tmp_path):
+        # Concurrent handles of one process must never share a temp file,
+        # neither for store.json on open nor for one key's entry.
+        root = str(tmp_path / "store")
+        ResultStore(root)
+        threads_count, rounds = 8, 25
+        barrier = threading.Barrier(threads_count)
+        errors = []
+
+        def worker(index):
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(rounds):
+                    store = ResultStore(root)
+                    store.store(
+                        KEY_A, candidate={"kind": "grid"}, result={"v": 1}
+                    )
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(f"thread {index}: {type(error).__name__}: {error}")
+
+        threads = [
+            threading.Thread(target=worker, args=(index,))
+            for index in range(threads_count)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        store = ResultStore(root)
+        assert store.load(KEY_A).result == {"v": 1}
+        stats = store.stats()
+        assert stats.orphan_tmp == 0
+        assert stats.entries == 1
+        assert not [name for name in os.listdir(root) if ".tmp." in name]
 
 
 class TestCandidateRoundTrip:

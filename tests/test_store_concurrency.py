@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from repro.core.parallel import BatchedSweepRunner, ParallelSweepRunner
+from repro.core.parallel import ParallelSweepRunner
 from repro.noc.config import SimulationConfig
 from repro.store import ResultStore, verify_store
 from repro.telemetry import SweepProgressTracker
@@ -36,7 +36,6 @@ def _forbid_simulation(monkeypatch):
         raise AssertionError("a warm run must not invoke the simulator")
 
     monkeypatch.setattr(parallel_module, "_evaluate_work_item", boom)
-    monkeypatch.setattr(parallel_module, "_evaluate_batch_item", boom)
 
 
 class TestWarmRunIsPure:
@@ -58,12 +57,12 @@ class TestWarmRunIsPure:
         assert final.cache_hits == len(GRID)
         assert final.fresh == 0
 
-    def test_batched_runner_shares_the_same_store(self, tmp_path, monkeypatch):
-        # Entries written by the per-point runner satisfy the batched
-        # runner (and vice versa): one store serves every execution path.
-        ParallelSweepRunner(FAST_CONFIG, jobs=1, cache_dir=tmp_path).run(GRID)
+    def test_worker_written_entries_serve_an_inline_run(self, tmp_path, monkeypatch):
+        # Entries written by worker processes (split work items) satisfy
+        # an inline run (whole groups): one store serves every job count.
+        ParallelSweepRunner(FAST_CONFIG, jobs=2, cache_dir=tmp_path).run(GRID)
         _forbid_simulation(monkeypatch)
-        warm = BatchedSweepRunner(FAST_CONFIG, jobs=1, cache_dir=tmp_path).run(GRID)
+        warm = ParallelSweepRunner(FAST_CONFIG, jobs=1, cache_dir=tmp_path).run(GRID)
         assert all(record.from_cache for record in warm)
 
 
