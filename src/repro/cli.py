@@ -50,7 +50,6 @@ from repro.arrangements.factory import make_arrangement
 from repro.core.design import ChipletDesign
 from repro.core.parallel import ParallelSweepRunner, SweepCandidate
 from repro.core.report import compare_designs
-from repro.evaluation.performance import run_figure7
 from repro.evaluation.proxies import run_figure6
 from repro.evaluation.tables import format_table
 from repro.io.booksim_export import write_booksim_inputs
@@ -63,19 +62,18 @@ from repro.resilience.sweep import (
     EXPLICIT_FAULT_TYPE,
     FAULT_TYPES,
     normalize_injection_rates,
-    run_resilience_sweep,
     summarize_records,
 )
-from repro.service.specs import phase_config
-from repro.service.tables import (
-    RESILIENCE_HEADER,
-    SWEEP_HEADER,
-    WORKLOAD_HEADER,
-    render_csv,
-    resilience_rows,
-    sweep_rows,
-    workload_rows,
+from repro.service.jobs import run_job
+from repro.service.specs import (
+    ARRANGEMENT_KINDS,
+    FIGURE7_MODES,
+    REGULARITIES,
+    JobSpec,
+    job_spec,
+    phase_config,
 )
+from repro.service.tables import RESILIENCE_HEADER, render_csv, resilience_rows
 from repro.telemetry import (
     FlitTracer,
     MetricsCollector,
@@ -86,19 +84,17 @@ from repro.telemetry import (
     format_summary,
     progress_from_dict,
 )
-from repro.utils.validation import check_in_choices
 from repro.viz.svg import placement_svg, save_svg
 from repro.workloads import available_mappers, available_workloads
 
-_KINDS = ("grid", "brickwall", "honeycomb", "hexamesh")
 
-#: Regularity classes accepted by ``--regularity`` (paper Section IV-C);
-#: omitting the flag keeps the best class each chiplet count admits.
-_REGULARITIES = ("regular", "semi-regular", "irregular")
+def _parse_list(text: str | None, *, kind: type, all_values: tuple = ()) -> list | None:
+    """Parse a comma-separated CLI list, expanding the ``"all"`` shorthand.
 
-
-def _parse_list(text: str, *, kind: type, all_values: tuple = ()) -> list:
-    """Parse a comma-separated CLI list, expanding the ``"all"`` shorthand."""
+    An unset flag (``None``) stays ``None``, leaving the spec default.
+    """
+    if text is None:
+        return None
     stripped = text.strip()
     if stripped.lower() == "all":
         if not all_values:
@@ -107,25 +103,68 @@ def _parse_list(text: str, *, kind: type, all_values: tuple = ()) -> list:
     return [kind(part.strip()) for part in stripped.split(",") if part.strip()]
 
 
+def _emit_csv(csv_text: str, output: str | None) -> None:
+    """Write CSV text to ``output``, or print it to stdout."""
+    if output:
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(csv_text)
+        print(f"wrote {output}")
+    else:
+        print(csv_text, end="")
+
+
 def _emit_table(output: str | None, header: list[str], rows: list[list]) -> None:
     """Write rows as CSV to ``output``, or print them as a table.
 
-    The CSV bytes come from :func:`repro.service.tables.render_csv`, the
-    same renderer the exploration service uses — a service job result
-    and the equivalent ``--output`` file are byte-identical.
+    The CSV bytes come from :func:`repro.service.tables.render_csv`, as a
+    job payload's ``csv`` does, so the ``--output`` file of a spec-backed
+    command and the equivalent service job's CSV are byte-identical.
     """
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(render_csv(header, rows))
-        print(f"wrote {output}")
+        _emit_csv(render_csv(header, rows), output)
     else:
         print(format_table(header, rows))
 
 
-# ``simulate``/``sweep``/``workload``/``faults`` and the service's job
-# specs share one phase-scaling rule (repro.service.specs.phase_config),
-# so a job submitted over the socket runs exactly what the CLI would.
-_phase_config = phase_config
+def _spec(job_type: str, **fields) -> JobSpec:
+    """Validate the job spec a command runs.
+
+    Unset flags (``None``) are left out, so the spec's own defaults apply.
+    """
+    raw = {name: value for name, value in fields.items() if value is not None}
+    return job_spec({"type": job_type, **raw})
+
+
+def _run_flags(args: argparse.Namespace) -> dict:
+    """The simulation-run flags ``sweep``/``workload``/``faults`` share."""
+    return {"cycles": args.cycles, "seed": args.seed, "jobs": args.jobs, "engine": args.engine}
+
+
+def _warn_ignored(spec: JobSpec, args: argparse.Namespace, flags, reason: str) -> None:
+    """Warn about the ``flags`` set away from their default that this run ignores.
+
+    A flag's spec field is its name without dashes (``--sim-points`` is
+    ``sim_points``); ``--cache-dir`` is no spec field and counts when given.
+    """
+    default = job_spec({"type": spec.job_type})
+
+    def changed(flag: str) -> bool:
+        if flag == "--cache-dir":
+            return args.cache_dir is not None
+        field = flag[2:].replace("-", "_")
+        return spec.param(field) != default.param(field)
+
+    ignored = [flag for flag in flags if changed(flag)]
+    if ignored:
+        print(f"warning: {', '.join(ignored)} {reason}", file=sys.stderr)
+
+
+def _run_spec(spec: JobSpec, args: argparse.Namespace) -> dict:
+    """Run a spec through the service's job executor, progress to stderr."""
+    report_progress, finish_progress = _progress_reporter(spec.param("jobs"), args.progress)
+    payload = run_job(spec, cache_dir=args.cache_dir, progress=report_progress)
+    finish_progress()
+    return payload
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -136,44 +175,36 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     info = subparsers.add_parser("info", help="evaluate one design point")
-    info.add_argument("kind", choices=_KINDS)
+    info.add_argument("kind", choices=ARRANGEMENT_KINDS)
     info.add_argument("chiplets", type=int)
 
     compare = subparsers.add_parser("compare", help="compare a design against a baseline")
-    compare.add_argument("kind", choices=_KINDS)
+    compare.add_argument("kind", choices=ARRANGEMENT_KINDS)
     compare.add_argument("chiplets", type=int)
-    compare.add_argument("--baseline", choices=_KINDS, default="grid")
+    compare.add_argument("--baseline", choices=ARRANGEMENT_KINDS, default="grid")
 
     figure = subparsers.add_parser("figure", help="regenerate Figure 6 or Figure 7 data")
     figure.add_argument("number", choices=("6", "7"))
-    figure.add_argument("--max-chiplets", type=int, default=100)
+    figure.add_argument("--max-chiplets", type=int)
     figure.add_argument("--output", default=None, help="CSV output path (default: stdout)")
-    figure.add_argument(
-        "--mode",
-        choices=("analytical", "hybrid", "simulation"),
-        default="analytical",
-        help="Figure 7 evaluation engine",
-    )
+    figure.add_argument("--mode", choices=FIGURE7_MODES, help="Figure 7 evaluation engine")
     figure.add_argument(
         "--sim-points",
         default=None,
         help="comma list of chiplet counts to simulate (hybrid mode)",
     )
-    figure.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for cycle-accurate points"
-    )
+    figure.add_argument("--jobs", type=int, help="worker processes for cycle-accurate points")
     figure.add_argument(
         "--cache-dir", default=None, help="persistent result store for cycle-accurate results"
     )
     figure.add_argument(
         "--engine",
         choices=ENGINE_NAMES,
-        default=DEFAULT_ENGINE,
         help="cycle-loop engine for cycle-accurate points (all engines are bit-identical)",
     )
 
     simulate = subparsers.add_parser("simulate", help="run the cycle-accurate simulator")
-    simulate.add_argument("kind", choices=_KINDS)
+    simulate.add_argument("kind", choices=ARRANGEMENT_KINDS)
     simulate.add_argument("chiplets", type=int)
     simulate.add_argument("--injection-rate", type=float, default=0.05)
     simulate.add_argument("--traffic", default="uniform")
@@ -214,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record a flit-lifecycle trace (Perfetto/JSONL export, "
         "optional cross-engine equality check)",
     )
-    trace.add_argument("kind", choices=_KINDS)
+    trace.add_argument("kind", choices=ARRANGEMENT_KINDS)
     trace.add_argument("chiplets", type=int)
     trace.add_argument("--injection-rate", type=float, default=0.05)
     trace.add_argument("--traffic", default="uniform")
@@ -250,43 +281,27 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="parallel cycle-accurate sweep over (kind x chiplets x rate x traffic)",
     )
-    sweep.add_argument(
-        "--kinds",
-        default="grid,brickwall,hexamesh",
-        help='comma list of arrangement kinds, or "all"',
-    )
-    sweep.add_argument("--chiplets", default="16,36,64", help="comma list of chiplet counts")
-    sweep.add_argument(
-        "--rates",
-        default="0.02,0.1,0.3,0.5,1.0",
-        help="comma list of injection rates (flits/cycle/endpoint)",
-    )
-    sweep.add_argument(
-        "--traffic", default="uniform", help='comma list of traffic patterns, or "all"'
-    )
+    sweep.add_argument("--kinds", help='comma list of arrangement kinds, or "all"')
+    sweep.add_argument("--chiplets", help="comma list of chiplet counts")
+    sweep.add_argument("--rates", help="comma list of injection rates (flits/cycle/endpoint)")
+    sweep.add_argument("--traffic", help='comma list of traffic patterns, or "all"')
     sweep.add_argument(
         "--regularity",
-        choices=_REGULARITIES,
+        choices=REGULARITIES,
         default=None,
         help="force one regularity class for every arrangement "
         "(default: best available per chiplet count)",
     )
-    sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sweep.add_argument("--jobs", type=int, help="worker processes")
     sweep.add_argument(
         "--cache-dir", default=None, help="persistent result store directory"
     )
     sweep.add_argument(
-        "--cycles",
-        type=int,
-        default=1000,
-        help="measurement cycles (warm-up and drain scale with it)",
+        "--cycles", type=int, help="measurement cycles (warm-up and drain scale with it)"
     )
-    sweep.add_argument("--seed", type=int, default=1, help="base RNG seed")
+    sweep.add_argument("--seed", type=int, help="base RNG seed")
     sweep.add_argument(
-        "--engine",
-        choices=ENGINE_NAMES,
-        default=DEFAULT_ENGINE,
-        help="cycle-loop engine (all engines are bit-identical)",
+        "--engine", choices=ENGINE_NAMES, help="cycle-loop engine (all engines are bit-identical)"
     )
     sweep.add_argument("--output", default=None, help="CSV output path (default: table)")
     sweep.add_argument(
@@ -302,47 +317,31 @@ def _build_parser() -> argparse.ArgumentParser:
         "workload",
         help="map application task graphs onto arrangements and simulate them",
     )
-    workload.add_argument(
-        "--kind", default="dnn-pipeline", help='comma list of workload kinds, or "all"'
-    )
-    workload.add_argument("--chiplets", default="37", help="comma list of chiplet counts")
-    workload.add_argument(
-        "--arrangement", default="hexamesh", help='comma list of arrangement kinds, or "all"'
-    )
-    workload.add_argument("--mapper", default="partition", help='comma list of mappers, or "all"')
+    workload.add_argument("--kind", help='comma list of workload kinds, or "all"')
+    workload.add_argument("--chiplets", help="comma list of chiplet counts")
+    workload.add_argument("--arrangement", help='comma list of arrangement kinds, or "all"')
+    workload.add_argument("--mapper", help='comma list of mappers, or "all"')
     workload.add_argument(
         "--regularity",
-        choices=_REGULARITIES,
+        choices=REGULARITIES,
         default=None,
         help="force one regularity class for every arrangement "
         "(default: best available per chiplet count)",
     )
     workload.add_argument(
-        "--tasks",
-        type=int,
-        default=None,
-        help="tasks per workload (default: the chiplet count)",
+        "--tasks", type=int, help="tasks per workload (default: the chiplet count)"
     )
     workload.add_argument(
-        "--injection-rate",
-        type=float,
-        default=0.1,
-        help="offered load of the heaviest source endpoint",
+        "--injection-rate", type=float, help="offered load of the heaviest source endpoint"
     )
     workload.add_argument(
-        "--cycles",
-        type=int,
-        default=1000,
-        help="measurement cycles (warm-up and drain scale with it)",
+        "--cycles", type=int, help="measurement cycles (warm-up and drain scale with it)"
     )
-    workload.add_argument("--seed", type=int, default=1, help="base RNG seed")
+    workload.add_argument("--seed", type=int, help="base RNG seed")
     workload.add_argument(
-        "--engine",
-        choices=ENGINE_NAMES,
-        default=DEFAULT_ENGINE,
-        help="cycle-loop engine (all engines are bit-identical)",
+        "--engine", choices=ENGINE_NAMES, help="cycle-loop engine (all engines are bit-identical)"
     )
-    workload.add_argument("--jobs", type=int, default=1, help="worker processes")
+    workload.add_argument("--jobs", type=int, help="worker processes")
     workload.add_argument(
         "--cache-dir", default=None, help="persistent result store directory"
     )
@@ -359,37 +358,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fault-injection resilience sweep: per-arrangement degradation "
         "vs. number of failed links/routers",
     )
-    faults.add_argument(
-        "--kinds",
-        default="grid,brickwall,hexamesh",
-        help='comma list of arrangement kinds, or "all"',
-    )
-    faults.add_argument(
-        "--chiplets", type=int, default=37, help="chiplet count shared by every arrangement"
-    )
+    faults.add_argument("--kinds", help='comma list of arrangement kinds, or "all"')
+    faults.add_argument("--chiplets", type=int, help="chiplet count shared by every arrangement")
     faults.add_argument(
         "--regularity",
-        choices=_REGULARITIES,
+        choices=REGULARITIES,
         default=None,
         help="force one regularity class for every arrangement "
         "(default: best available per chiplet count)",
     )
     faults.add_argument(
-        "--failures",
-        default="0,1,2,4",
-        help="comma list of failure counts (include 0 for the baseline)",
+        "--failures", help="comma list of failure counts (include 0 for the baseline)"
     )
     faults.add_argument(
-        "--fault-type",
-        choices=FAULT_TYPES,
-        default="link",
-        help="what fails: links, routers, or an even mix",
+        "--fault-type", choices=FAULT_TYPES, help="what fails: links, routers, or an even mix"
     )
     faults.add_argument(
-        "--samples",
-        type=int,
-        default=2,
-        help="independent fault draws per (kind, failure count)",
+        "--samples", type=int, help="independent fault draws per (kind, failure count)"
     )
     faults.add_argument(
         "--fail-links",
@@ -403,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="ROUTERS",
         help='explicit failed router ids, e.g. "3,8"',
     )
-    faults.add_argument("--injection-rate", type=float, default=0.1)
+    faults.add_argument("--injection-rate", type=float)
     faults.add_argument(
         "--injection-rates",
         default=None,
@@ -412,25 +397,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "degradation curve into a degradation surface (rows gain a rate "
         "column) and overrides --injection-rate",
     )
-    faults.add_argument("--traffic", default="uniform")
+    faults.add_argument("--traffic")
     faults.add_argument(
-        "--cycles",
-        type=int,
-        default=1000,
-        help="measurement cycles (warm-up and drain scale with it)",
+        "--cycles", type=int, help="measurement cycles (warm-up and drain scale with it)"
     )
-    faults.add_argument(
-        "--seed", type=int, default=1, help="base RNG seed (also seeds the fault sampling)"
-    )
-    faults.add_argument("--jobs", type=int, default=1, help="worker processes")
+    faults.add_argument("--seed", type=int, help="base RNG seed (also seeds the fault sampling)")
+    faults.add_argument("--jobs", type=int, help="worker processes")
     faults.add_argument(
         "--cache-dir", default=None, help="persistent result store directory"
     )
     faults.add_argument(
-        "--engine",
-        choices=ENGINE_NAMES,
-        default=DEFAULT_ENGINE,
-        help="cycle-loop engine (all engines are bit-identical)",
+        "--engine", choices=ENGINE_NAMES, help="cycle-loop engine (all engines are bit-identical)"
     )
     faults.add_argument("--output", default=None, help="CSV output path (default: table)")
     faults.add_argument(
@@ -439,9 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="plain",
         help="progress rendering (see sweep --progress)",
     )
-    # _command_faults reads flag defaults straight from the parser (for
-    # the ignored-under---fail-* warning) instead of duplicating literals.
-    faults.set_defaults(faults_parser=faults)
 
     store = subparsers.add_parser(
         "store",
@@ -653,7 +627,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _jobs_common(jobs_shutdown, job_id=False)
 
     export = subparsers.add_parser("export", help="write BookSim2 inputs and/or an SVG view")
-    export.add_argument("kind", choices=_KINDS)
+    export.add_argument("kind", choices=ARRANGEMENT_KINDS)
     export.add_argument("chiplets", type=int)
     export.add_argument("--booksim-topology", default=None)
     export.add_argument("--booksim-config", default=None)
@@ -662,7 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
     feasibility = subparsers.add_parser(
         "feasibility", help="check D2D link-length and package feasibility"
     )
-    feasibility.add_argument("kind", choices=_KINDS)
+    feasibility.add_argument("kind", choices=ARRANGEMENT_KINDS)
     feasibility.add_argument("chiplets", type=int)
     feasibility.add_argument("--silicon-interposer", action="store_true")
 
@@ -686,72 +660,36 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 
 def _command_figure(args: argparse.Namespace) -> int:
+    spec = _spec(
+        "figure7",
+        max_chiplets=args.max_chiplets,
+        mode=args.mode,
+        sim_points=_parse_list(args.sim_points, kind=int),
+        jobs=args.jobs,
+        engine=args.engine,
+    )
     if args.number == "6":
-        ignored = [
-            flag
-            for flag, value, default in (
-                ("--mode", args.mode, "analytical"),
-                ("--sim-points", args.sim_points, None),
-                ("--jobs", args.jobs, 1),
-                ("--cache-dir", args.cache_dir, None),
-                ("--engine", args.engine, DEFAULT_ENGINE),
-            )
-            if value != default
-        ]
-        if ignored:
-            print(
-                f"warning: {', '.join(ignored)} only apply to figure 7; "
-                "figure 6 is always analytical",
-                file=sys.stderr,
-            )
-        figure6 = run_figure6(range(1, args.max_chiplets + 1))
+        _warn_ignored(
+            spec,
+            args,
+            ("--mode", "--sim-points", "--jobs", "--cache-dir", "--engine"),
+            "only apply to figure 7; figure 6 is always analytical",
+        )
+        figure6 = run_figure6(range(1, spec.param("max_chiplets") + 1))
         csv_text = figure6.diameter_experiment().to_csv() + figure6.bisection_experiment().to_csv()
     else:
-        if args.mode == "analytical":
+        if spec.param("mode") == "analytical":
             # Mirror the figure-6 path: analytical mode never simulates, so
             # flags that only steer the cycle-accurate points are ignored.
-            ignored = [
-                flag
-                for flag, value, default in (
-                    ("--sim-points", args.sim_points, None),
-                    ("--jobs", args.jobs, 1),
-                    ("--cache-dir", args.cache_dir, None),
-                    ("--engine", args.engine, DEFAULT_ENGINE),
-                )
-                if value != default
-            ]
-            if ignored:
-                print(
-                    f"warning: {', '.join(ignored)} only apply to figure 7 "
-                    "hybrid/simulation modes; --mode analytical never simulates",
-                    file=sys.stderr,
-                )
-        sim_points = None
-        if args.sim_points:
-            sim_points = _parse_list(args.sim_points, kind=int)
-        figure7 = run_figure7(
-            range(2, args.max_chiplets + 1),
-            mode=args.mode,
-            simulation_points=sim_points,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            noc_engine=args.engine,
-        )
-        csv_text = "".join(
-            experiment.to_csv()
-            for experiment in (
-                figure7.latency_experiment(),
-                figure7.throughput_experiment(),
-                figure7.normalized_latency_experiment(),
-                figure7.normalized_throughput_experiment(),
+            _warn_ignored(
+                spec,
+                args,
+                ("--sim-points", "--jobs", "--cache-dir", "--engine"),
+                "only apply to figure 7 hybrid/simulation modes; "
+                "--mode analytical never simulates",
             )
-        )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(csv_text)
-        print(f"wrote {args.output}")
-    else:
-        print(csv_text, end="")
+        csv_text = run_job(spec, cache_dir=args.cache_dir)["csv"]
+    _emit_csv(csv_text, args.output)
     return 0
 
 
@@ -796,7 +734,7 @@ def _write_metrics_json(path: str, metrics: MetricsCollector, *, context: dict) 
 
 def _command_simulate(args: argparse.Namespace) -> int:
     design = ChipletDesign.create(args.kind, args.chiplets)
-    config = _phase_config(args.cycles)
+    config = phase_config(args.cycles)
     wants_trace = args.trace_out or args.trace_jsonl
     telemetry = None
     if args.metrics_out or wants_trace:
@@ -841,7 +779,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 def _command_trace(args: argparse.Namespace) -> int:
     design = ChipletDesign.create(args.kind, args.chiplets)
-    config = _phase_config(args.cycles, seed=args.seed)
+    config = phase_config(args.cycles, seed=args.seed)
 
     def observed_run(engine: str):
         session = TelemetrySession(metrics=MetricsCollector(), tracer=FlitTracer())
@@ -924,174 +862,126 @@ def _command_trace(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    kinds = _parse_list(args.kinds, kind=str, all_values=_KINDS)
-    chiplet_counts = _parse_list(args.chiplets, kind=int)
-    rates = _parse_list(args.rates, kind=float)
-    traffics = _parse_list(args.traffic, kind=str, all_values=available_traffic_patterns())
-    # Fail fast on typos before any worker starts (rates are validated by
-    # SweepCandidate itself when the grid is built below).
-    for kind in kinds:
-        check_in_choices("kind", kind, _KINDS)
-    for traffic in traffics:
-        check_in_choices("traffic", traffic, available_traffic_patterns())
-    config = _phase_config(args.cycles, seed=args.seed)
-    runner = ParallelSweepRunner(
-        config, jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine
+    spec = _spec(
+        "sweep",
+        kinds=_parse_list(args.kinds, kind=str, all_values=ARRANGEMENT_KINDS),
+        chiplets=_parse_list(args.chiplets, kind=int),
+        rates=_parse_list(args.rates, kind=float),
+        traffic=_parse_list(args.traffic, kind=str, all_values=available_traffic_patterns()),
+        regularity=args.regularity,
+        **_run_flags(args),
     )
-    candidates = ParallelSweepRunner.grid(
-        kinds, chiplet_counts, rates, traffics, regularity=args.regularity
-    )
-    report_progress, finish_progress = _progress_reporter(args.jobs, args.progress)
-    records = runner.run(candidates, progress=report_progress)
-    finish_progress()
-    _emit_table(args.output, SWEEP_HEADER, sweep_rows(records))
+    payload = _run_spec(spec, args)
+    _emit_table(args.output, payload["header"], payload["rows"])
     return 0
 
 
 def _command_workload(args: argparse.Namespace) -> int:
-    workload_kinds = _parse_list(args.kind, kind=str, all_values=available_workloads())
-    arrangements = _parse_list(args.arrangement, kind=str, all_values=_KINDS)
-    chiplet_counts = _parse_list(args.chiplets, kind=int)
-    mappers = _parse_list(args.mapper, kind=str, all_values=available_mappers())
-    # Fail fast on typos before any simulation starts.
-    for kind in workload_kinds:
-        check_in_choices("workload kind", kind, available_workloads())
-    for arrangement in arrangements:
-        check_in_choices("arrangement", arrangement, _KINDS)
-    for mapper in mappers:
-        check_in_choices("mapper", mapper, available_mappers())
-
-    config = _phase_config(args.cycles, seed=args.seed)
-    runner = ParallelSweepRunner(
-        config, jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine
-    )
-    candidates = ParallelSweepRunner.workload_grid(
-        arrangements,
-        chiplet_counts,
-        workload_kinds,
-        mappers,
-        injection_rates=(args.injection_rate,),
-        num_tasks=args.tasks,
+    spec = _spec(
+        "workload",
+        workloads=_parse_list(args.kind, kind=str, all_values=available_workloads()),
+        arrangements=_parse_list(args.arrangement, kind=str, all_values=ARRANGEMENT_KINDS),
+        chiplets=_parse_list(args.chiplets, kind=int),
+        mappers=_parse_list(args.mapper, kind=str, all_values=available_mappers()),
+        tasks=args.tasks,
+        injection_rate=args.injection_rate,
         regularity=args.regularity,
+        **_run_flags(args),
     )
-    report_progress, finish_progress = _progress_reporter(args.jobs, args.progress)
-    records = runner.run(candidates, progress=report_progress)
-    finish_progress()
-    _emit_table(
-        args.output,
-        WORKLOAD_HEADER,
-        workload_rows(records, runner.config, jobs=args.jobs),
-    )
+    payload = _run_spec(spec, args)
+    _emit_table(args.output, payload["header"], payload["rows"])
     return 0
 
 
-def _command_faults(args: argparse.Namespace) -> int:
-    kinds = _parse_list(args.kinds, kind=str, all_values=_KINDS)
-    # Fail fast on typos before any simulation starts.
-    for kind in kinds:
-        check_in_choices("kind", kind, _KINDS)
-    check_in_choices("traffic", args.traffic, available_traffic_patterns())
-    config = _phase_config(args.cycles, seed=args.seed)
-    rates = normalize_injection_rates(
-        args.injection_rate,
-        _parse_list(args.injection_rates, kind=float) if args.injection_rates else None,
-    )
-    report_progress, finish_progress = _progress_reporter(args.jobs, args.progress)
-    explicit = args.fail_links is not None or args.fail_routers is not None
-    if explicit:
-        # Mirror the ignored-flag convention of the figure command: the
-        # sampling knobs have no effect once the fault set is explicit.
-        # The defaults come from the parser itself (get_default) so the
-        # warning can never drift out of sync with _build_parser.
-        ignored = [
-            flag
-            for flag, value, default in (
-                ("--failures", args.failures, args.faults_parser.get_default("failures")),
-                ("--samples", args.samples, args.faults_parser.get_default("samples")),
-                ("--fault-type", args.fault_type, args.faults_parser.get_default("fault_type")),
-            )
-            if value != default
-        ]
-        if ignored:
-            print(
-                f"warning: {', '.join(ignored)} only apply to sampled sweeps; "
-                "--fail-links/--fail-routers run exactly the given scenario",
-                file=sys.stderr,
-            )
-        fault_set = FaultSet.parse(args.fail_links or "", args.fail_routers or "")
-        if fault_set.is_empty:
-            # An explicit-but-empty spec (e.g. --fail-links "" from an unset
-            # shell variable) would silently degrade into a healthy-only
-            # sweep; fail fast instead.
-            print(
-                "error: --fail-links/--fail-routers were given but name no "
-                'faults; pass at least one link (e.g. "0-1") or router id, '
-                "or drop the flags to run a sampled sweep",
-                file=sys.stderr,
-            )
-            return 2
-        # Fail fast with the precise FaultedTopologyError message (absent
-        # component / isolated router / disconnected survivors) before
-        # any worker starts — honouring the same --regularity override
-        # the candidates below will simulate.
-        for kind in kinds:
-            graph = make_arrangement(kind, args.chiplets, args.regularity).graph
-            fault_set.apply(graph)
-        # Rate-innermost ordering keeps every rate of one fault set
-        # adjacent in the report; the runner groups them by structure, so
-        # they share one degraded-topology build.
-        candidates = []
-        for kind in kinds:
-            for healthy in (True, False):
-                for rate in rates:
-                    candidates.append(
-                        SweepCandidate(
-                            kind=kind,
-                            num_chiplets=args.chiplets,
-                            injection_rate=rate,
-                            traffic=args.traffic,
-                            regularity=args.regularity,
-                            failed_links=() if healthy else fault_set.failed_links,
-                            failed_routers=() if healthy else fault_set.failed_routers,
-                        )
-                    )
-        runner = ParallelSweepRunner(
-            config, jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine
-        )
-        records = runner.run(candidates, progress=report_progress)
-        summaries = summarize_records(records, fault_type=EXPLICIT_FAULT_TYPE)
-    else:
-        failure_counts = _parse_list(args.failures, kind=int)
-        result = run_resilience_sweep(
-            kinds,
-            args.chiplets,
-            failure_counts,
-            samples=args.samples,
-            fault_type=args.fault_type,
-            config=config,
-            injection_rate=args.injection_rate,
-            injection_rates=rates,
-            traffic=args.traffic,
-            regularity=args.regularity,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            engine=args.engine,
-            progress=report_progress,
-        )
-        summaries = result.summaries
-    finish_progress()
+def _explicit_fault_rows(spec: JobSpec, args: argparse.Namespace) -> list[list]:
+    """Resilience rows of the exact ``--fail-links/--fail-routers`` scenario.
 
-    header = RESILIENCE_HEADER
-    rows = resilience_rows(summaries)
+    Runs every kind healthy and with the given faults, at every rate of
+    the (validated) resilience spec; the sampling fields are ignored.
+    """
+    _warn_ignored(
+        spec,
+        args,
+        ("--failures", "--samples", "--fault-type"),
+        "only apply to sampled sweeps; --fail-links/--fail-routers run exactly the given scenario",
+    )
+    fault_set = FaultSet.parse(args.fail_links or "", args.fail_routers or "")
+    if fault_set.is_empty:
+        # An explicit-but-empty spec (e.g. --fail-links "" from an unset
+        # shell variable) would silently degrade into a healthy-only
+        # sweep; fail fast instead.
+        raise ValueError(
+            "--fail-links/--fail-routers were given but name no faults; "
+            'pass at least one link (e.g. "0-1") or router id, '
+            "or drop the flags to run a sampled sweep"
+        )
+    kinds, chiplets = spec.param("kinds"), spec.param("chiplets")
+    regularity = spec.param("regularity")
+    # Fail fast with the precise FaultedTopologyError message (absent
+    # component / isolated router / disconnected survivors) before any
+    # worker starts — honouring the same --regularity override the
+    # candidates below will simulate.
+    for kind in kinds:
+        fault_set.apply(make_arrangement(kind, chiplets, regularity).graph)
+    rates = normalize_injection_rates(spec.param("injection_rate"), spec.param("injection_rates"))
+    # Rate-innermost ordering keeps every rate of one fault set adjacent
+    # in the report; the runner groups them by structure, so they share
+    # one degraded-topology build.
+    candidates = [
+        SweepCandidate(
+            kind=kind,
+            num_chiplets=chiplets,
+            injection_rate=rate,
+            traffic=spec.param("traffic"),
+            regularity=regularity,
+            failed_links=() if healthy else fault_set.failed_links,
+            failed_routers=() if healthy else fault_set.failed_routers,
+        )
+        for kind in kinds
+        for healthy in (True, False)
+        for rate in rates
+    ]
+    runner = ParallelSweepRunner(
+        spec.config(),
+        jobs=spec.param("jobs"),
+        cache_dir=args.cache_dir,
+        engine=spec.param("engine"),
+    )
+    report_progress, finish_progress = _progress_reporter(spec.param("jobs"), args.progress)
+    records = runner.run(candidates, progress=report_progress)
+    finish_progress()
+    return resilience_rows(summarize_records(records, fault_type=EXPLICIT_FAULT_TYPE))
+
+
+def _command_faults(args: argparse.Namespace) -> int:
+    # The explicit --fail-links/--fail-routers scenario has no spec field;
+    # it runs its own candidates but validates through the same spec.
+    spec = _spec(
+        "resilience",
+        kinds=_parse_list(args.kinds, kind=str, all_values=ARRANGEMENT_KINDS),
+        chiplets=args.chiplets,
+        failures=_parse_list(args.failures, kind=int),
+        fault_type=args.fault_type,
+        samples=args.samples,
+        injection_rate=args.injection_rate,
+        injection_rates=_parse_list(args.injection_rates, kind=float),
+        traffic=args.traffic,
+        regularity=args.regularity,
+        **_run_flags(args),
+    )
+    if args.fail_links is None and args.fail_routers is None:
+        rows = _run_spec(spec, args)["rows"]
+    else:
+        rows = _explicit_fault_rows(spec, args)
     if args.output:
-        _emit_table(args.output, header, rows)
+        _emit_table(args.output, RESILIENCE_HEADER, rows)
     else:
 
         def ratio(value: float) -> str:
             return f"{value:.3f}x" if value == value else "-"
 
         display = [row[:-2] + [ratio(row[-2]), ratio(row[-1])] for row in rows]
-        print(format_table(header, display))
+        print(format_table(RESILIENCE_HEADER, display))
     return 0
 
 
@@ -1284,17 +1174,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_job_result(result: dict, output: str | None) -> None:
-    """Write a job result's CSV to ``output`` or print it to stdout."""
-    csv_text = result.get("csv", "")
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(csv_text)
-        print(f"wrote {output}")
-    else:
-        print(csv_text, end="")
-
-
 def _stream_job_responses(client, request: dict, output: str | None) -> int:
     """Drive one streaming request: progress to stderr, result to ``output``.
 
@@ -1332,7 +1211,7 @@ def _stream_job_responses(client, request: dict, output: str | None) -> int:
         print(f"error: {final.get('error', 'job did not complete')}", file=sys.stderr)
         return 1
     if "result" in final:
-        _emit_job_result(final["result"], output)
+        _emit_csv(final["result"].get("csv", ""), output)
     return 0
 
 

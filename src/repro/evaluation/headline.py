@@ -9,8 +9,8 @@ The abstract summarises HexaMesh with four numbers relative to the grid:
 * throughput improved by **34 %** on average (simulation).
 
 This module recomputes all four from the library's own results so the
-reproduction can be compared against the paper at a glance (the numbers are
-also recorded in EXPERIMENTS.md).
+reproduction can be compared against the paper at a glance
+(:mod:`repro.evaluation.report` renders them into the Markdown report).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class HeadlineClaims:
     PAPER_THROUGHPUT_IMPROVEMENT = 34.0
 
     def as_dict(self) -> dict[str, float]:
-        """Flat dictionary used by reports and EXPERIMENTS.md."""
+        """Flat dictionary stored in experiment metadata for the Markdown report."""
         return {
             "diameter_reduction_percent": self.diameter_reduction_percent,
             "bisection_improvement_percent": self.bisection_improvement_percent,

@@ -1,10 +1,10 @@
 """Markdown report generation.
 
 Turns the output of :func:`repro.evaluation.runner.run_all_experiments`
-into a self-contained Markdown document in the style of EXPERIMENTS.md:
-one section per experiment with a per-series summary table, plus the
-headline-claim comparison against the paper's quoted numbers.  Useful for
-regenerating the reproduction record after changing parameters.
+into a self-contained Markdown document: one section per experiment with
+a per-series summary table, plus the headline-claim comparison against
+the paper's quoted numbers.  Useful for regenerating the reproduction
+record after changing parameters.
 """
 
 from __future__ import annotations

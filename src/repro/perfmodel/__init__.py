@@ -15,8 +15,8 @@ first-order behaviour:
   when the most-loaded channel reaches unit utilisation.
 
 The evaluation harness can use either engine (``mode="analytical"`` or
-``mode="simulation"``); EXPERIMENTS.md records which one produced each
-reported number.
+``mode="simulation"``); each Figure 7 series records the engine that
+produced it in its annotations.
 """
 
 from repro.perfmodel.latency import zero_load_latency_cycles

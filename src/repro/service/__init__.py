@@ -11,8 +11,10 @@ pool with per-job progress streams while one shared
 restarts.  :mod:`~repro.service.server` exposes the same five verbs
 (``submit``, ``status``, ``stream``, ``result``, ``cancel``) over a
 JSONL Unix-socket protocol behind ``hexamesh serve`` / ``hexamesh
-jobs``; :mod:`~repro.service.tables` keeps service results byte-identical
-to the equivalent CLI commands.
+jobs``.  :func:`~repro.service.jobs.run_job` executes every job, and the
+CLI's ``sweep`` / ``workload`` / ``faults`` / ``figure 7`` commands run
+their specs through it too, so their output is byte-identical to the
+equivalent job's.
 """
 
 from repro.service.jobs import JOB_STATES, Job, JobCancelled, JobManager

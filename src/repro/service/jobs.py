@@ -17,6 +17,11 @@ Cancellation is cooperative: a cancel request raises
 runner releases its in-flight claims, and everything already simulated
 stays in the store — resuming the job (a fresh submission of the same
 spec) picks up from there as cache hits.
+
+:func:`run_job` is the executor itself (spec → candidates → runner →
+result payload); the CLI's spec-backed commands call it in-process, so
+a command's ``--output`` and the equivalent job's ``csv`` are the same
+bytes.
 """
 
 from __future__ import annotations
@@ -292,14 +297,13 @@ class JobManager:
                 raise JobCancelled(f"job {job.id} cancelled at {done}/{total}")
             job._add_snapshot(tracker.update(done, total, record).as_dict())
 
-        handler = {
-            "sweep": self._run_sweep,
-            "workload": self._run_workload,
-            "resilience": self._run_resilience,
-            "figure7": self._run_figure7,
-        }[spec.job_type]
         try:
-            payload = handler(spec, progress)
+            payload = run_job(
+                spec,
+                cache_dir=self._cache_dir,
+                progress=progress,
+                in_flight=self._in_flight,
+            )
         except JobCancelled as cancelled:
             job._set_state("cancelled", error=str(cancelled))
         except Exception as error:  # noqa: BLE001 - job isolation boundary
@@ -307,68 +311,50 @@ class JobManager:
         else:
             job._set_state("done", result=payload)
 
-    def _cache_summary(self, records) -> dict[str, int]:
-        hits = sum(1 for record in records if record.from_cache)
-        return {
-            "candidates": len(records),
-            "cache_hits": hits,
-            "simulated": len(records) - hits,
-        }
 
-    def _run_sweep(self, spec: JobSpec, progress) -> dict[str, Any]:
-        config = spec.config()
-        runner = ParallelSweepRunner(
-            config,
+def run_job(
+    spec: JobSpec,
+    *,
+    cache_dir: str | None = None,
+    progress=None,
+    in_flight: InFlightRegistry | None = None,
+) -> dict[str, Any]:
+    """Run one validated job spec and return its result payload.
+
+    The single executor behind :class:`JobManager` and the CLI's
+    ``sweep``, ``workload``, sampled ``faults`` and ``figure 7``
+    commands, so a command and the equivalent service job produce the
+    same payload.  Table jobs return ``header``, ``rows``, their
+    rendered ``csv`` (sweeps add the latency/throughput ``pareto``
+    front) and a ``cache`` summary; Figure 7 returns its ``csv`` and
+    ``metadata``.  ``progress(done, total, record)`` is called per
+    completed candidate; ``in_flight`` dedupes candidates across
+    concurrent jobs.
+    """
+    job_type = spec.job_type
+    if job_type == "figure7":
+        from repro.evaluation.performance import run_figure7
+
+        figure7 = run_figure7(
+            range(2, spec.param("max_chiplets") + 1),
+            mode=spec.param("mode"),
+            simulation_points=spec.param("sim_points"),
             jobs=spec.param("jobs"),
-            cache_dir=self._cache_dir,
-            engine=spec.param("engine"),
-            in_flight=self._in_flight,
+            cache_dir=cache_dir,
+            noc_engine=spec.param("engine"),
+            progress=progress,
+            in_flight=in_flight,
         )
-        candidates = ParallelSweepRunner.grid(
-            spec.param("kinds"),
-            spec.param("chiplets"),
-            spec.param("rates"),
-            spec.param("traffic"),
-            regularity=spec.param("regularity"),
-        )
-        records = runner.run(candidates, progress=progress)
-        rows = sweep_rows(records)
-        return {
-            "header": SWEEP_HEADER,
-            "rows": rows,
-            "csv": render_csv(SWEEP_HEADER, rows),
-            "pareto": sweep_pareto(records),
-            "cache": self._cache_summary(records),
-        }
+        return {"csv": figure7_csv(figure7), "metadata": figure7.metadata}
 
-    def _run_workload(self, spec: JobSpec, progress) -> dict[str, Any]:
-        config = spec.config()
-        runner = ParallelSweepRunner(
-            config,
-            jobs=spec.param("jobs"),
-            cache_dir=self._cache_dir,
-            engine=spec.param("engine"),
-            in_flight=self._in_flight,
-        )
-        candidates = ParallelSweepRunner.workload_grid(
-            spec.param("arrangements"),
-            spec.param("chiplets"),
-            spec.param("workloads"),
-            spec.param("mappers"),
-            injection_rates=(spec.param("injection_rate"),),
-            num_tasks=spec.param("tasks"),
-            regularity=spec.param("regularity"),
-        )
-        records = runner.run(candidates, progress=progress)
-        rows = workload_rows(records, config, jobs=spec.param("jobs"))
-        return {
-            "header": WORKLOAD_HEADER,
-            "rows": rows,
-            "csv": render_csv(WORKLOAD_HEADER, rows),
-            "cache": self._cache_summary(records),
-        }
-
-    def _run_resilience(self, spec: JobSpec, progress) -> dict[str, Any]:
+    execution = {
+        "jobs": spec.param("jobs"),
+        "cache_dir": cache_dir,
+        "engine": spec.param("engine"),
+        "in_flight": in_flight,
+    }
+    extra: dict[str, Any] = {}
+    if job_type == "resilience":
         from repro.resilience.sweep import run_resilience_sweep
 
         result = run_resilience_sweep(
@@ -382,34 +368,46 @@ class JobManager:
             injection_rates=spec.param("injection_rates"),
             traffic=spec.param("traffic"),
             regularity=spec.param("regularity"),
-            jobs=spec.param("jobs"),
-            cache_dir=self._cache_dir,
-            engine=spec.param("engine"),
             progress=progress,
-            in_flight=self._in_flight,
+            **execution,
         )
-        rows = resilience_rows(result.summaries)
-        return {
-            "header": RESILIENCE_HEADER,
-            "rows": rows,
-            "csv": render_csv(RESILIENCE_HEADER, rows),
-            "cache": self._cache_summary(list(result.records)),
-        }
-
-    def _run_figure7(self, spec: JobSpec, progress) -> dict[str, Any]:
-        from repro.evaluation.performance import run_figure7
-
-        figure7 = run_figure7(
-            range(2, spec.param("max_chiplets") + 1),
-            mode=spec.param("mode"),
-            simulation_points=spec.param("sim_points"),
-            jobs=spec.param("jobs"),
-            cache_dir=self._cache_dir,
-            noc_engine=spec.param("engine"),
-            progress=progress,
-            in_flight=self._in_flight,
+        records = list(result.records)
+        header, rows = RESILIENCE_HEADER, resilience_rows(result.summaries)
+    elif job_type == "sweep":
+        runner = ParallelSweepRunner(spec.config(), **execution)
+        candidates = ParallelSweepRunner.grid(
+            spec.param("kinds"),
+            spec.param("chiplets"),
+            spec.param("rates"),
+            spec.param("traffic"),
+            regularity=spec.param("regularity"),
         )
-        return {
-            "csv": figure7_csv(figure7),
-            "metadata": figure7.metadata,
-        }
+        records = runner.run(candidates, progress=progress)
+        header, rows = SWEEP_HEADER, sweep_rows(records)
+        extra["pareto"] = sweep_pareto(records)
+    else:
+        runner = ParallelSweepRunner(spec.config(), **execution)
+        candidates = ParallelSweepRunner.workload_grid(
+            spec.param("arrangements"),
+            spec.param("chiplets"),
+            spec.param("workloads"),
+            spec.param("mappers"),
+            injection_rates=(spec.param("injection_rate"),),
+            num_tasks=spec.param("tasks"),
+            regularity=spec.param("regularity"),
+        )
+        records = runner.run(candidates, progress=progress)
+        header = WORKLOAD_HEADER
+        rows = workload_rows(records, runner.config, jobs=spec.param("jobs"))
+    hits = sum(1 for record in records if record.from_cache)
+    return {
+        "header": header,
+        "rows": rows,
+        "csv": render_csv(header, rows),
+        **extra,
+        "cache": {
+            "candidates": len(records),
+            "cache_hits": hits,
+            "simulated": len(records) - hits,
+        },
+    }

@@ -25,7 +25,7 @@ from repro.resilience.sweep import FAULT_TYPES
 from repro.utils.validation import check_in_choices, check_positive_int
 from repro.workloads import available_mappers, available_workloads
 
-#: Arrangement families of the paper (mirrors the CLI's ``_KINDS``).
+#: Arrangement families of the paper.
 ARRANGEMENT_KINDS = ("grid", "brickwall", "honeycomb", "hexamesh")
 
 #: Regularity classes accepted by arrangement generators.
@@ -41,9 +41,8 @@ FIGURE7_MODES = ("analytical", "hybrid", "simulation")
 def phase_config(cycles: int, *, seed: int | None = None) -> SimulationConfig:
     """Simulation phase lengths scaled from a ``cycles`` knob.
 
-    Shared by the CLI's ``simulate`` / ``sweep`` commands and the
-    service's job specs, so a job submitted over the socket runs exactly
-    the configuration the equivalent CLI invocation would.
+    Shared by the CLI's ``simulate`` / ``trace`` commands and every job
+    spec, so the job executor runs exactly the phases those commands do.
     """
     return SimulationConfig(
         warmup_cycles=max(100, cycles // 2),
@@ -104,10 +103,11 @@ def _as_list(value: Any, kind: type, name: str) -> tuple:
         raise ValueError(f"spec field {name!r}: {error}") from error
 
 
-# Per-type field tables: name -> (normaliser, default).  A default of
-# ``_REQUIRED`` marks the field mandatory.  Normalisers receive the raw
-# JSON value and return the canonical form (tuples for lists).
-_REQUIRED = object()
+# Per-type field tables: name -> (normaliser, default).  Normalisers
+# receive the raw JSON value and return the canonical form (tuples for
+# lists).  These tables are the only source of defaults: the CLI leaves
+# an unset flag out of the spec, so a bare ``{"type": ...}`` runs exactly
+# what the flagless command does.
 
 
 def _common_fields() -> dict[str, tuple]:
@@ -123,9 +123,15 @@ def _spec_fields(job_type: str) -> dict[str, tuple]:
     fields = _common_fields()
     if job_type == "sweep":
         fields.update(
-            kinds=(lambda v: _as_list(v, str, "kinds"), ("grid", "hexamesh")),
-            chiplets=(lambda v: _as_list(v, int, "chiplets"), (16, 36)),
-            rates=(lambda v: _as_list(v, float, "rates"), (0.02, 0.1, 0.3)),
+            kinds=(
+                lambda v: _as_list(v, str, "kinds"),
+                ("grid", "brickwall", "hexamesh"),
+            ),
+            chiplets=(lambda v: _as_list(v, int, "chiplets"), (16, 36, 64)),
+            rates=(
+                lambda v: _as_list(v, float, "rates"),
+                (0.02, 0.1, 0.3, 0.5, 1.0),
+            ),
             traffic=(lambda v: _as_list(v, str, "traffic"), ("uniform",)),
             regularity=(lambda v: None if v is None else str(v), None),
         )
@@ -144,9 +150,12 @@ def _spec_fields(job_type: str) -> dict[str, tuple]:
         )
     elif job_type == "resilience":
         fields.update(
-            kinds=(lambda v: _as_list(v, str, "kinds"), ("grid", "hexamesh")),
+            kinds=(
+                lambda v: _as_list(v, str, "kinds"),
+                ("grid", "brickwall", "hexamesh"),
+            ),
             chiplets=(lambda v: int(v), 37),
-            failures=(lambda v: _as_list(v, int, "failures"), (0, 1, 2)),
+            failures=(lambda v: _as_list(v, int, "failures"), (0, 1, 2, 4)),
             fault_type=(lambda v: str(v), "link"),
             samples=(lambda v: int(v), 2),
             injection_rate=(lambda v: float(v), 0.1),
@@ -158,12 +167,11 @@ def _spec_fields(job_type: str) -> dict[str, tuple]:
             regularity=(lambda v: None if v is None else str(v), None),
         )
     elif job_type == "figure7":
-        # Figure 7 runs the paper's evaluation parameters; it has no
-        # cycles/seed knobs (mirroring `hexamesh figure 7`), so its
-        # results are byte-identical to the CLI's.
+        # Figure 7 runs the paper's evaluation parameters over its 2-100
+        # chiplet range; it has no cycles/seed knobs.
         del fields["cycles"], fields["seed"]
         fields.update(
-            max_chiplets=(lambda v: int(v), 30),
+            max_chiplets=(lambda v: int(v), 100),
             mode=(lambda v: str(v), "analytical"),
             sim_points=(
                 lambda v: None if v is None else _as_list(v, int, "sim_points"),
@@ -229,14 +237,10 @@ def job_spec(data: Mapping[str, Any]) -> JobSpec:
             f"unknown {job_type} spec field(s): {', '.join(unknown)} "
             f"(known: {', '.join(sorted(fields))})"
         )
-    params: dict[str, Any] = {}
-    for name, (normalise, default) in fields.items():
-        if name in payload:
-            params[name] = normalise(payload[name])
-        elif default is _REQUIRED:  # pragma: no cover - no required fields yet
-            raise ValueError(f"{job_type} spec requires field {name!r}")
-        else:
-            params[name] = default
+    params = {
+        name: normalise(payload[name]) if name in payload else default
+        for name, (normalise, default) in fields.items()
+    }
     _check_spec(job_type, params)
     return JobSpec(
         job_type=job_type,

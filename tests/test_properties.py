@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
 import math
+import string
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -24,9 +25,20 @@ from repro.noc.config import SimulationConfig
 from repro.noc.faults import FaultedTopologyError
 from repro.noc.simulator import BatchPoint, NocSimulator
 from repro.partition.common import cut_size, is_balanced
+from repro.noc.engine import ENGINE_NAMES
+from repro.noc.traffic import available_traffic_patterns
 from repro.resilience import sample_survivable_faults
+from repro.resilience.sweep import FAULT_TYPES
 from repro.partition.estimator import find_best_bisection
+from repro.service.specs import (
+    ARRANGEMENT_KINDS,
+    FIGURE7_MODES,
+    JOB_TYPES,
+    REGULARITIES,
+    job_spec,
+)
 from repro.utils.mathutils import hexamesh_chiplet_count, is_hexamesh_count
+from repro.workloads import available_mappers, available_workloads
 
 from sim_modes import FAST_SIM_MODES, simulate_noc
 
@@ -533,3 +545,104 @@ class TestFaultInjectionProperties:
         }
         assert not surviving_links & set(faults.failed_links)
         assert all(graph.has_edge(*link) for link in surviving_links)
+
+
+# Valid raw values of every job-spec field, per job type; a spec draws
+# any subset of its type's fields (the rest take their defaults).
+def _listed(element):
+    return st.lists(element, min_size=1, max_size=4)
+
+
+_spec_kinds = st.sampled_from(ARRANGEMENT_KINDS)
+_spec_counts = st.integers(min_value=1, max_value=200)
+_spec_rates = st.floats(min_value=0.001, max_value=1.0, allow_nan=False)
+_spec_regularity = st.none() | st.sampled_from(REGULARITIES)
+_spec_traffic = st.sampled_from(available_traffic_patterns())
+_execution_fields = {
+    "jobs": st.integers(min_value=1, max_value=8),
+    "engine": st.sampled_from(ENGINE_NAMES),
+}
+_phase_fields = {
+    **_execution_fields,
+    "cycles": st.integers(min_value=1, max_value=100_000),
+    "seed": st.integers(min_value=0, max_value=2**31),
+}
+_SPEC_FIELDS = {
+    "sweep": {
+        **_phase_fields,
+        "kinds": _listed(_spec_kinds),
+        "chiplets": _listed(_spec_counts),
+        "rates": _listed(_spec_rates),
+        "traffic": _listed(_spec_traffic),
+        "regularity": _spec_regularity,
+    },
+    "workload": {
+        **_phase_fields,
+        "workloads": _listed(st.sampled_from(available_workloads())),
+        "arrangements": _listed(_spec_kinds),
+        "chiplets": _listed(_spec_counts),
+        "mappers": _listed(st.sampled_from(available_mappers())),
+        "tasks": st.none() | _spec_counts,
+        "injection_rate": _spec_rates,
+        "regularity": _spec_regularity,
+    },
+    "resilience": {
+        **_phase_fields,
+        "kinds": _listed(_spec_kinds),
+        "chiplets": _spec_counts,
+        "failures": _listed(st.integers(min_value=0, max_value=8)),
+        "fault_type": st.sampled_from(FAULT_TYPES),
+        "samples": st.integers(min_value=1, max_value=5),
+        "injection_rate": _spec_rates,
+        "injection_rates": st.none() | _listed(_spec_rates),
+        "traffic": _spec_traffic,
+        "regularity": _spec_regularity,
+    },
+    "figure7": {
+        **_execution_fields,
+        "max_chiplets": st.integers(min_value=1, max_value=100),
+        "mode": st.sampled_from(FIGURE7_MODES),
+        "sim_points": st.none() | _listed(_spec_counts),
+    },
+}
+raw_job_specs = st.sampled_from(JOB_TYPES).flatmap(
+    lambda job_type: st.fixed_dictionaries(
+        {"type": st.just(job_type)}, optional=_SPEC_FIELDS[job_type]
+    )
+)
+
+
+class TestJobSpecProperties:
+    @pytest.mark.parametrize("job_type", JOB_TYPES)
+    def test_strategies_cover_every_field(self, job_type):
+        fields = set(job_spec({"type": job_type}).as_dict())
+        assert set(_SPEC_FIELDS[job_type]) | {"type"} == fields
+
+    @_SETTINGS
+    @given(raw=raw_job_specs)
+    def test_normalisation_is_idempotent(self, raw):
+        spec = job_spec(raw)
+        assert job_spec(spec.as_dict()) == spec
+
+    @_SETTINGS
+    @given(raw=raw_job_specs, data=st.data())
+    def test_identity_ignores_key_order_and_scalar_spelling(self, raw, data):
+        # Spell every one-element list as its scalar, then shuffle the keys.
+        respelled = [
+            (key, value[0] if isinstance(value, list) and len(value) == 1 else value)
+            for key, value in raw.items()
+        ]
+        shuffled = dict(data.draw(st.permutations(respelled)))
+        assert job_spec(shuffled).canonical_json() == job_spec(raw).canonical_json()
+
+    @_SETTINGS
+    @given(
+        raw=raw_job_specs,
+        key=st.text(alphabet=string.ascii_letters + string.digits + "_-", min_size=1),
+    )
+    def test_unknown_field_is_rejected_by_name(self, raw, key):
+        assume(key not in job_spec({"type": raw["type"]}).as_dict())
+        with pytest.raises(ValueError) as error:
+            job_spec({**raw, key: 1})
+        unknown_part = str(error.value).split(" (known:")[0]
+        assert key in unknown_part.split(": ", 1)[1].split(", ")

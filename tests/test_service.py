@@ -52,7 +52,7 @@ class TestJobSpec:
         spec = job_spec({"type": "sweep", "chiplets": 7, "rates": 0.05})
         assert spec.param("chiplets") == (7,)
         assert spec.param("rates") == (0.05,)
-        assert spec.param("kinds") == ("grid", "hexamesh")
+        assert spec.param("kinds") == ("grid", "brickwall", "hexamesh")
         assert spec.param("cycles") == 1000
         assert spec.param("jobs") == 1
 
