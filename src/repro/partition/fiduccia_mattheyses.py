@@ -4,7 +4,10 @@ FM moves one vertex at a time (instead of swapping pairs like
 Kernighan–Lin), tracks per-vertex gains in bucket lists for O(1) selection
 and allows a configurable balance tolerance.  One FM pass tentatively moves
 every vertex once and then rolls back to the prefix of moves with the best
-cumulative gain.
+cumulative gain.  A node leaves the buckets when it moves, so the buckets
+hold exactly the unlocked nodes; after a move each unlocked neighbour's
+gain changes by +-2 (the shared edge flips between cut and uncut), which
+is the value a from-scratch recount would give.
 """
 
 from __future__ import annotations
@@ -51,17 +54,10 @@ class _GainBuckets:
         return self._gain_of[node]
 
 
-def _node_gain(graph: ChipGraph, node: Node, side_of: dict[Node, int]) -> int:
-    """Cut-size reduction achieved by moving ``node`` to the other side."""
-    own = side_of[node]
-    external = 0
-    internal = 0
-    for neighbour in graph.neighbors(node):
-        if side_of[neighbour] == own:
-            internal += 1
-        else:
-            external += 1
-    return external - internal
+def _node_gain(neighbours: list[Node], own: int, side_of: dict[Node, int]) -> int:
+    """Cut-size reduction achieved by moving a node off side ``own``."""
+    internal = sum(1 for neighbour in neighbours if side_of[neighbour] == own)
+    return len(neighbours) - 2 * internal
 
 
 def fiduccia_mattheyses_refine(
@@ -100,6 +96,9 @@ def fiduccia_mattheyses_refine(
 
     side_a = set(part)
     side_b = complement(graph, side_a)
+    # Neighbour lists in ``graph.neighbors`` order: the order of the gain
+    # updates after a move decides the order inside a gain bucket.
+    adjacency = {node: graph.neighbors(node) for node in graph.nodes()}
 
     for _ in range(max_passes):
         side_of: dict[Node, int] = {}
@@ -111,13 +110,12 @@ def fiduccia_mattheyses_refine(
 
         buckets = _GainBuckets()
         for node in graph.nodes():
-            buckets.insert(node, _node_gain(graph, node, side_of))
+            buckets.insert(node, _node_gain(adjacency[node], side_of[node], side_of))
 
         moves: list[tuple[Node, int]] = []
         cumulative = 0
         best_cumulative = 0
         best_prefix = 0
-        locked: set[Node] = set()
 
         while True:
             # Choose the best unlocked node whose move keeps the balance legal.
@@ -143,21 +141,20 @@ def fiduccia_mattheyses_refine(
             side_of[node] = 1 - source
             sizes[source] -= 1
             sizes[1 - source] += 1
-            locked.add(node)
             moves.append((node, gain))
             cumulative += gain
-            if cumulative > best_cumulative or (
-                cumulative == best_cumulative and best_prefix == 0
-            ):
-                if cumulative > best_cumulative:
-                    best_cumulative = cumulative
-                    best_prefix = len(moves)
-            # Update the gains of the unlocked neighbours.
-            for neighbour in graph.neighbors(node):
+            if cumulative > best_cumulative:
+                best_cumulative = cumulative
+                best_prefix = len(moves)
+            # Update the gains of the unlocked neighbours: the shared edge
+            # turns external (+2) for those left behind on the source side
+            # and internal (-2) for those on the destination side.
+            for neighbour in adjacency[node]:
                 if neighbour in buckets:
-                    buckets.update(neighbour, _node_gain(graph, neighbour, side_of))
+                    delta = 2 if side_of[neighbour] == source else -2
+                    buckets.update(neighbour, buckets.gain(neighbour) + delta)
 
-        if best_prefix == 0 or best_cumulative <= 0:
+        if best_prefix == 0:
             break
 
         # Apply the best prefix of moves to the real partition.

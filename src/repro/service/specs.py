@@ -103,19 +103,41 @@ def _as_list(value: Any, kind: type, name: str) -> tuple:
         raise ValueError(f"spec field {name!r}: {error}") from error
 
 
+def _as_scalar(value: Any, kind: type, name: str) -> Any:
+    """Normalise a single JSON value (the scalar twin of :func:`_as_list`)."""
+    if value is None:
+        raise ValueError(f"spec field {name!r} must not be null")
+    if isinstance(value, (list, tuple, Mapping)):
+        raise ValueError(f"spec field {name!r} takes a single value, got {type(value).__name__}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"spec field {name!r}: {error}") from error
+
+
+def _listed(kind: type, *, optional: bool = False):
+    """Field normaliser ``(value, name) -> tuple`` for a list field (null if ``optional``)."""
+    return lambda v, name: None if optional and v is None else _as_list(v, kind, name)
+
+
+def _scalar(kind: type, *, optional: bool = False):
+    """Field normaliser ``(value, name) -> value`` for a scalar field (null if ``optional``)."""
+    return lambda v, name: None if optional and v is None else _as_scalar(v, kind, name)
+
+
 # Per-type field tables: name -> (normaliser, default).  Normalisers
-# receive the raw JSON value and return the canonical form (tuples for
-# lists).  These tables are the only source of defaults: the CLI leaves
-# an unset flag out of the spec, so a bare ``{"type": ...}`` runs exactly
-# what the flagless command does.
+# receive the raw JSON value and the field name and return the canonical
+# form (tuples for lists).  These tables are the only source of
+# defaults: the CLI leaves an unset flag out of the spec, so a bare
+# ``{"type": ...}`` runs exactly what the flagless command does.
 
 
 def _common_fields() -> dict[str, tuple]:
     return {
-        "cycles": (lambda v: int(v), 1000),
-        "seed": (lambda v: int(v), 1),
-        "engine": (lambda v: str(v), DEFAULT_ENGINE),
-        "jobs": (lambda v: int(v), 1),
+        "cycles": (_scalar(int), 1000),
+        "seed": (_scalar(int), 1),
+        "engine": (_scalar(str), DEFAULT_ENGINE),
+        "jobs": (_scalar(int), 1),
     }
 
 
@@ -123,60 +145,42 @@ def _spec_fields(job_type: str) -> dict[str, tuple]:
     fields = _common_fields()
     if job_type == "sweep":
         fields.update(
-            kinds=(
-                lambda v: _as_list(v, str, "kinds"),
-                ("grid", "brickwall", "hexamesh"),
-            ),
-            chiplets=(lambda v: _as_list(v, int, "chiplets"), (16, 36, 64)),
-            rates=(
-                lambda v: _as_list(v, float, "rates"),
-                (0.02, 0.1, 0.3, 0.5, 1.0),
-            ),
-            traffic=(lambda v: _as_list(v, str, "traffic"), ("uniform",)),
-            regularity=(lambda v: None if v is None else str(v), None),
+            kinds=(_listed(str), ("grid", "brickwall", "hexamesh")),
+            chiplets=(_listed(int), (16, 36, 64)),
+            rates=(_listed(float), (0.02, 0.1, 0.3, 0.5, 1.0)),
+            traffic=(_listed(str), ("uniform",)),
+            regularity=(_scalar(str, optional=True), None),
         )
     elif job_type == "workload":
         fields.update(
-            workloads=(lambda v: _as_list(v, str, "workloads"), ("dnn-pipeline",)),
-            arrangements=(
-                lambda v: _as_list(v, str, "arrangements"),
-                ("hexamesh",),
-            ),
-            chiplets=(lambda v: _as_list(v, int, "chiplets"), (37,)),
-            mappers=(lambda v: _as_list(v, str, "mappers"), ("partition",)),
-            tasks=(lambda v: None if v is None else int(v), None),
-            injection_rate=(lambda v: float(v), 0.1),
-            regularity=(lambda v: None if v is None else str(v), None),
+            workloads=(_listed(str), ("dnn-pipeline",)),
+            arrangements=(_listed(str), ("hexamesh",)),
+            chiplets=(_listed(int), (37,)),
+            mappers=(_listed(str), ("partition",)),
+            tasks=(_scalar(int, optional=True), None),
+            injection_rate=(_scalar(float), 0.1),
+            regularity=(_scalar(str, optional=True), None),
         )
     elif job_type == "resilience":
         fields.update(
-            kinds=(
-                lambda v: _as_list(v, str, "kinds"),
-                ("grid", "brickwall", "hexamesh"),
-            ),
-            chiplets=(lambda v: int(v), 37),
-            failures=(lambda v: _as_list(v, int, "failures"), (0, 1, 2, 4)),
-            fault_type=(lambda v: str(v), "link"),
-            samples=(lambda v: int(v), 2),
-            injection_rate=(lambda v: float(v), 0.1),
-            injection_rates=(
-                lambda v: None if v is None else _as_list(v, float, "injection_rates"),
-                None,
-            ),
-            traffic=(lambda v: str(v), "uniform"),
-            regularity=(lambda v: None if v is None else str(v), None),
+            kinds=(_listed(str), ("grid", "brickwall", "hexamesh")),
+            chiplets=(_scalar(int), 37),
+            failures=(_listed(int), (0, 1, 2, 4)),
+            fault_type=(_scalar(str), "link"),
+            samples=(_scalar(int), 2),
+            injection_rate=(_scalar(float), 0.1),
+            injection_rates=(_listed(float, optional=True), None),
+            traffic=(_scalar(str), "uniform"),
+            regularity=(_scalar(str, optional=True), None),
         )
     elif job_type == "figure7":
         # Figure 7 runs the paper's evaluation parameters over its 2-100
         # chiplet range; it has no cycles/seed knobs.
         del fields["cycles"], fields["seed"]
         fields.update(
-            max_chiplets=(lambda v: int(v), 100),
-            mode=(lambda v: str(v), "analytical"),
-            sim_points=(
-                lambda v: None if v is None else _as_list(v, int, "sim_points"),
-                None,
-            ),
+            max_chiplets=(_scalar(int), 100),
+            mode=(_scalar(str), "analytical"),
+            sim_points=(_listed(int, optional=True), None),
         )
     else:  # pragma: no cover - guarded by the caller
         raise ValueError(f"unknown job type {job_type!r}")
@@ -238,7 +242,7 @@ def job_spec(data: Mapping[str, Any]) -> JobSpec:
             f"(known: {', '.join(sorted(fields))})"
         )
     params = {
-        name: normalise(payload[name]) if name in payload else default
+        name: normalise(payload[name], name) if name in payload else default
         for name, (normalise, default) in fields.items()
     }
     _check_spec(job_type, params)

@@ -14,12 +14,32 @@ import threading
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro.core.parallel as parallel_module
 from repro.core.parallel import InFlightRegistry, ParallelSweepRunner
 from repro.service import JobManager, job_spec
 from repro.service.specs import phase_config
 from repro.service.tables import render_csv, sweep_rows
+
+#: Single-value spec fields per job type (null is not allowed in any of them).
+SCALAR_FIELDS = {
+    "sweep": ("cycles", "seed", "engine", "jobs"),
+    "workload": ("cycles", "seed", "engine", "jobs", "injection_rate"),
+    "resilience": (
+        "cycles", "seed", "engine", "jobs", "chiplets", "fault_type", "samples",
+        "injection_rate", "traffic",
+    ),
+    "figure7": ("engine", "jobs", "max_chiplets", "mode"),
+}
+
+#: Optional single-value fields: null means "unset", a list or object is an error.
+OPTIONAL_SCALAR_FIELDS = {
+    "sweep": ("regularity",),
+    "workload": ("tasks", "regularity"),
+    "resilience": ("regularity",),
+}
 
 #: cycles=80 scales to the FAST_CONFIG-sized phases the other suites use.
 SWEEP_SPEC = {
@@ -82,6 +102,52 @@ class TestJobSpec:
             job_spec({"type": "sweep", "engine": "imaginary"})
         with pytest.raises(ValueError, match="kind"):
             job_spec({"type": "sweep", "kinds": ["moebius"]})
+
+    @pytest.mark.parametrize(
+        "job_type, field",
+        [
+            ("sweep", "cycles"),
+            ("sweep", "seed"),
+            ("sweep", "jobs"),
+            ("resilience", "chiplets"),
+            ("resilience", "samples"),
+            ("figure7", "max_chiplets"),
+            ("workload", "injection_rate"),
+            ("resilience", "injection_rate"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [[7], None, {"n": 7}])
+    def test_list_or_null_in_a_scalar_field_is_a_spec_error(self, job_type, field, value):
+        with pytest.raises(ValueError, match=f"spec field '{field}'"):
+            job_spec({"type": job_type, field: value})
+
+    def test_optional_scalar_fields_take_null_but_not_lists(self):
+        assert job_spec({"type": "workload", "tasks": None}).param("tasks") is None
+        with pytest.raises(ValueError, match="spec field 'tasks'"):
+            job_spec({"type": "workload", "tasks": [4]})
+
+    @given(
+        field=st.sampled_from(
+            [(job_type, name) for job_type, names in SCALAR_FIELDS.items() for name in names]
+            + [
+                (job_type, name)
+                for job_type, names in OPTIONAL_SCALAR_FIELDS.items()
+                for name in names
+            ]
+        ),
+        value=st.one_of(
+            st.none(),
+            st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=4)), max_size=3),
+            st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+        ),
+    )
+    def test_any_non_scalar_value_names_the_field(self, field, value):
+        job_type, name = field
+        if value is None and name in OPTIONAL_SCALAR_FIELDS.get(job_type, ()):
+            assert job_spec({"type": job_type, name: None}).param(name) is None
+            return
+        with pytest.raises(ValueError, match=f"spec field '{name}'"):
+            job_spec({"type": job_type, name: value})
 
     def test_figure7_spec_has_no_phase_knobs(self):
         # Figure 7 always runs the paper's parameters, so service results

@@ -105,6 +105,8 @@ class TestProtocol:
             client.call({"op": "status", "id": "job-999"})
         with pytest.raises(ServiceError, match="invalid spec"):
             client.call({"op": "submit", "spec": {"type": "sweep", "kinds": ["x"]}})
+        with pytest.raises(ServiceError, match="invalid spec: spec field 'chiplets'"):
+            client.call({"op": "submit", "spec": {"type": "resilience", "chiplets": [7]}})
         with pytest.raises(ServiceError, match="needs a 'spec'"):
             client.call({"op": "submit"})
         # ...and the server is still alive afterwards.
