@@ -1,4 +1,4 @@
-"""Benchmark of the sweep engine: active-set fast path and parallel fan-out.
+"""Benchmark of the sweep engine: vectorized fast path and parallel fan-out.
 
 The default (smoke) benchmark runs a small HexaMesh sweep through both
 cycle-loop engines, checks they agree bit-for-bit and reports the
@@ -40,34 +40,34 @@ def _engine_comparison(kind: str, count: int, rates: tuple[float, ...]):
 
         simulator = NocSimulator(graph, SMOKE_CONFIG, injection_rate=rate)
         start = time.perf_counter()
-        active = simulator.run(engine="active")
-        active_s = time.perf_counter() - start
+        vectorized = simulator.run(engine="vectorized")
+        vectorized_s = time.perf_counter() - start
 
-        assert legacy == active, f"engines diverged at rate {rate}"
+        assert legacy == vectorized, f"engines diverged at rate {rate}"
         stats = simulator.last_engine_stats
         rows.append(
             [
                 f"{kind}-{count} @{rate:g}",
                 round(legacy_s, 3),
-                round(active_s, 3),
-                round(legacy_s / active_s, 2) if active_s > 0 else float("inf"),
+                round(vectorized_s, 3),
+                round(legacy_s / vectorized_s, 2) if vectorized_s > 0 else float("inf"),
                 f"{stats.cycles_executed}/{legacy.cycles_simulated}",
             ]
         )
     return rows
 
 
-def test_bench_active_set_engine(benchmark):
+def test_bench_vectorized_engine(benchmark):
     """Smoke comparison: both engines agree; the fast path skips idle cycles."""
     rows = run_once(
         benchmark, _engine_comparison, "hexamesh", 19, (0.02, 0.05, 0.3)
     )
     print()
     print(format_table(
-        ["sweep point", "legacy [s]", "active [s]", "speedup", "cycles run"], rows
+        ["sweep point", "legacy [s]", "vectorized [s]", "speedup", "cycles run"], rows
     ))
     # The deterministic fast-path guarantee: at low load the drain phase is
-    # mostly idle, so the active engine must have exited early.
+    # mostly idle, so the vectorized engine must have exited early.
     low_load_cycles = int(rows[0][4].split("/")[0])
     horizon = int(rows[0][4].split("/")[1])
     assert low_load_cycles < horizon

@@ -58,13 +58,13 @@ def _trace_sweep_comparison():
         ["partition", "round-robin"],
     )
     start = time.perf_counter()
-    active = ParallelSweepRunner(SMOKE_CONFIG, engine="active").run(grid)
-    active_s = time.perf_counter() - start
+    vectorized = ParallelSweepRunner(SMOKE_CONFIG, engine="vectorized").run(grid)
+    vectorized_s = time.perf_counter() - start
     start = time.perf_counter()
     legacy = ParallelSweepRunner(SMOKE_CONFIG, engine="legacy").run(grid)
     legacy_s = time.perf_counter() - start
-    assert [r.result for r in active] == [r.result for r in legacy]
-    return active_s, legacy_s, len(grid)
+    assert [r.result for r in vectorized] == [r.result for r in legacy]
+    return vectorized_s, legacy_s, len(grid)
 
 
 def test_bench_workload_mapping_and_trace(benchmark):
@@ -75,12 +75,12 @@ def test_bench_workload_mapping_and_trace(benchmark):
         timings = _trace_sweep_comparison()
         return rows, timings
 
-    rows, (active_s, legacy_s, points) = run_once(benchmark, _run)
+    rows, (vectorized_s, legacy_s, points) = run_once(benchmark, _run)
     print()
     print(format_table(
         ["workload/mapper", "weighted hops", "max link load", "map time [ms]"], rows
     ))
-    print(f"\ntrace sweep ({points} points): active {active_s:.2f}s, "
+    print(f"\ntrace sweep ({points} points): vectorized {vectorized_s:.2f}s, "
           f"legacy {legacy_s:.2f}s (bit-identical)")
 
 

@@ -7,8 +7,7 @@ This example walks the resilience subsystem end to end:
    yield models (die yield x test coverage -> dead routers, bond yield
    -> dead links),
 2. draw a deterministic yield-sampled fault set and simulate the
-   degraded topology — all three cycle-loop engines are bit-identical on
-   it,
+   degraded topology — both cycle-loop engines are bit-identical on it,
 3. run a small resilience sweep (latency / throughput vs. number of
    failed links) and compare how gracefully the grid, brickwall and
    HexaMesh arrangements degrade.

@@ -498,8 +498,11 @@ def run_bench(
     """Run the benchmark scenarios and build the report dictionary.
 
     ``repeat`` runs every (scenario, engine) pair N times and keeps the
-    fastest wall clock (noise suppression); the per-run results must all
-    be bit-identical, which is asserted.  ``scenario_names`` defaults to
+    fastest wall clock per engine (noise suppression); the repeats are
+    interleaved across engines (``for iteration: for engine:``) so a burst
+    of machine noise lands on both sides of a speedup ratio rather than
+    on one engine's every repeat.  The per-run results must all be
+    bit-identical, which is asserted.  ``scenario_names`` defaults to
     :func:`available_scenarios` for the chosen mode.
     """
     if repeat < 1:
@@ -526,22 +529,19 @@ def run_bench(
         run_once = scenario.build(quick)
         reference_result = None
         cycles = 0
-        engine_rows: dict[str, dict[str, float]] = {}
-        for engine in engines:
-            best_wall = None
-            extras: list[dict[str, float]] = []
-            result = None
-            for iteration in range(repeat):
+        best_walls: dict[str, float] = {}
+        extras: dict[str, list[dict[str, float]]] = {engine: [] for engine in engines}
+        for iteration in range(repeat):
+            for engine in engines:
                 start = time.perf_counter()
                 outcome = run_once(engine)
                 wall = time.perf_counter() - start
                 if len(outcome) == 3:
                     result, cycles, extra = outcome
-                    extras.append(extra)
+                    extras[engine].append(extra)
                 else:
                     result, cycles = outcome
-                if best_wall is None or wall < best_wall:
-                    best_wall = wall
+                best_walls[engine] = min(best_walls.get(engine, wall), wall)
                 if reference_result is None:
                     reference_result = result
                 elif result != reference_result:
@@ -551,12 +551,15 @@ def run_bench(
                         "different result than the reference run — the "
                         "bit-identical contract is broken"
                     )
+        engine_rows: dict[str, dict[str, float]] = {}
+        for engine in engines:
+            best_wall = best_walls[engine]
             engine_rows[engine] = {
                 "wall_seconds": round(best_wall, 6),
                 "cycles_per_second": round(cycles / best_wall, 1) if best_wall > 0 else 0.0,
             }
-            if extras:
-                engine_rows[engine].update(_merge_extras(extras))
+            if extras[engine]:
+                engine_rows[engine].update(_merge_extras(extras[engine]))
         if REFERENCE_ENGINE in engine_rows:
             reference_wall = engine_rows[REFERENCE_ENGINE]["wall_seconds"]
             for engine, row in engine_rows.items():

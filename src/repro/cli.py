@@ -472,8 +472,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINE_NAMES,
         default=None,
-        help="override the engine recorded in each entry's manifest "
-        "(all engines are bit-identical)",
+        help=f"engine to replay with (default: {DEFAULT_ENGINE}; the engine a "
+        "manifest records is provenance only, all engines are bit-identical)",
     )
 
     bench = subparsers.add_parser(

@@ -260,8 +260,8 @@ class ChipletDesign:
             Optional phase-length / seed override; the architectural
             parameters always come from the design itself.
         engine:
-            Cycle-loop engine (``"active"``, ``"vectorized"`` or
-            ``"legacy"``; all bit-identical under a fixed seed).
+            Cycle-loop engine (``"vectorized"`` or ``"legacy"``;
+            bit-identical under a fixed seed).
         telemetry:
             Optional :class:`~repro.telemetry.TelemetrySession` observing
             the run (``None`` keeps the hot path observation-free).

@@ -385,10 +385,10 @@ class DesignSpaceExplorer:
         """Cycle-accurately validate one explored record.
 
         The explorer's own metrics are analytical; this runs the
-        cycle-accurate simulator on the record's design (any cycle-loop
-        engine — ``"active"``, ``"vectorized"`` or ``"legacy"``, all
-        bit-identical) so interesting candidates can be confirmed the same
-        way the paper spot-checks its Figure 7 points with BookSim2.
+        cycle-accurate simulator on the record's design (either cycle-loop
+        engine — ``"vectorized"`` or ``"legacy"``, bit-identical) so
+        interesting candidates can be confirmed the same way the paper
+        spot-checks its Figure 7 points with BookSim2.
 
         With ``rates`` the spot check becomes a whole latency/throughput
         curve: an injection sweep over the design, returned as an

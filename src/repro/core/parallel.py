@@ -17,7 +17,7 @@ Invariants the rest of the code base relies on:
   content-addressed result store (:mod:`repro.store`), keyed by a hash of
   the full candidate + simulation configuration, so a cache hit returns
   exactly what the simulation would have produced; the cycle-loop engines
-  (legacy, active-set, vectorized) are bit-identical by construction (see
+  (vectorized, legacy) are bit-identical by construction (see
   :mod:`repro.noc.engine` and :mod:`repro.noc.vec_engine`), so cached
   results are shared between them — and between processes, runs and
   machines sharing one store directory.
@@ -444,7 +444,7 @@ def _evaluate_work_item(
 
     Each returned tuple carries the point's wall time (the first point of
     an item honestly includes the shared build it triggered) and the
-    engine that *actually* ran — ``vectorized`` falls back to ``active``
+    engine that *actually* ran — every request resolves to ``legacy``
     under a staged router pipeline, and manifests must record the truth.
     ``on_result``, when given, receives each tuple as soon as its point
     finishes, before the next point starts.
@@ -769,10 +769,10 @@ class ParallelSweepRunner:
         seed, configuration, wall time) travels inside the entry — the
         store is self-describing, which is what lets ``hexamesh store
         verify`` replay any entry bit-for-bit later.  ``engine`` is the
-        engine that *actually* ran (reported by the worker); it can
-        differ from the runner's requested engine when ``vectorized``
-        falls back to ``active`` under a staged router pipeline, and the
-        manifest must record the truth for verify to replay it.
+        engine that *actually* ran (reported by the worker); it differs
+        from the runner's requested engine when a staged router pipeline
+        resolves the request to ``legacy``, and the manifest records the
+        truth as provenance.
         """
         store = self.store
         if store is None or key is None:

@@ -261,9 +261,8 @@ def evaluate_arrangement_performance(
     simulation_config:
         Optional simulator phase-length / seed override.
     noc_engine:
-        Cycle-loop engine for the simulation engine (``"active"``,
-        ``"vectorized"`` or ``"legacy"``; all bit-identical).  Ignored in
-        analytical mode.
+        Cycle-loop engine for the simulation engine (``"vectorized"`` or
+        ``"legacy"``; bit-identical).  Ignored in analytical mode.
     """
     check_in_choices("engine", engine, ("analytical", "simulation"))
     check_in_choices("throughput_model", throughput_model, ("bisection", "channel_load"))

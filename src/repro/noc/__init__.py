@@ -22,8 +22,9 @@ simulator with the same modelled structure:
 * :mod:`repro.noc.endpoint` — traffic sources and sinks,
 * :mod:`repro.noc.network` — assembling a network from an arrangement
   graph,
-* :mod:`repro.noc.engine` — the cycle-loop engines (the active-set fast
-  path and the legacy dense scan),
+* :mod:`repro.noc.engine` — the legacy dense cycle loop, the
+  object-model reference engine,
+* :mod:`repro.noc.vec_engine` — the default numpy array-kernel engines,
 * :mod:`repro.noc.simulator` — the simulation driver with warm-up,
   measurement and drain phases,
 * :mod:`repro.noc.sweep` — injection-rate sweeps, zero-load latency and
@@ -31,7 +32,7 @@ simulator with the same modelled structure:
 """
 
 from repro.noc.config import SimulationConfig
-from repro.noc.engine import ActiveSetEngine, EngineStats, PhaseSnapshots, run_legacy_loop
+from repro.noc.engine import EngineStats, PhaseSnapshots, run_legacy_loop
 from repro.noc.faults import (
     DegradedTopology,
     FaultedTopologyError,
@@ -63,7 +64,6 @@ from repro.noc.traffic import (
 )
 
 __all__ = [
-    "ActiveSetEngine",
     "BatchEngine",
     "BatchPoint",
     "BitComplementTraffic",

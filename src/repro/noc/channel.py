@@ -10,7 +10,7 @@ every flit channel.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 from repro.utils.validation import check_non_negative
 
@@ -29,17 +29,13 @@ class Channel:
         debugging output).
     """
 
-    __slots__ = ("_latency", "_queue", "name", "observer")
+    __slots__ = ("_latency", "_queue", "name")
 
     def __init__(self, latency: int, name: str = "") -> None:
         check_non_negative("latency", latency)
         self._latency = max(1, int(latency))
         self._queue: deque[tuple[int, Any]] = deque()
         self.name = name
-        #: Optional arrival hook: called with the delivery cycle of every
-        #: payload entering the channel.  The active-set engine uses it to
-        #: schedule event-driven deliveries instead of scanning all channels.
-        self.observer: Callable[[int], None] | None = None
 
     @property
     def latency(self) -> int:
@@ -53,10 +49,7 @@ class Channel:
 
     def send(self, payload: Any, now: int) -> None:
         """Enqueue ``payload``; it becomes receivable at ``now + latency``."""
-        arrival = now + self._latency
-        self._queue.append((arrival, payload))
-        if self.observer is not None:
-            self.observer(arrival)
+        self._queue.append((now + self._latency, payload))
 
     def receive(self, now: int) -> list[Any]:
         """Pop every payload whose delivery time has been reached."""

@@ -1,43 +1,20 @@
-"""Cycle-loop engines: the legacy dense scan and the active-set fast path.
+"""The legacy dense cycle loop: the object-model reference engine.
 
-Both engines advance a :class:`~repro.noc.network.Network` through the
-warm-up, measurement and drain phases and record the phase-boundary flit
-counters that :class:`~repro.noc.simulator.NocSimulator` turns into a
-:class:`~repro.noc.simulator.SimulationResult`.  They are required to be
-*observationally equivalent*: under the same configuration and seed they
-must leave the network in bit-identical state, which the equivalence test
-suite checks field by field on the final results.
+:func:`run_legacy_loop` advances a :class:`~repro.noc.network.Network`
+through the warm-up, measurement and drain phases and records the
+phase-boundary flit counters that
+:class:`~repro.noc.simulator.NocSimulator` turns into a
+:class:`~repro.noc.simulator.SimulationResult`.  Every cycle it scans
+every channel, steps every endpoint (until the drain phase) and steps
+every router, whether or not the component has work to do.
 
-The legacy engine is the original dense loop: every cycle it scans every
-channel, steps every endpoint (until the drain phase) and steps every
-router, whether or not the component has work to do.
-
-The active-set engine exploits three invariants of the network model to
-skip idle components without changing any observable behaviour:
-
-1. **Endpoints must be stepped densely while traffic is generated.**  An
-   endpoint draws from its RNG every cycle of the warm-up and measurement
-   phases (the Bernoulli injection process), so skipping even one idle
-   cycle would shift every later destination and injection decision.
-   Endpoints are therefore stepped exactly like the legacy loop — every
-   cycle before the drain phase, never during it.
-2. **Routers are pure no-ops while their input buffers are empty.**
-   ``Router.step`` returns immediately when ``buffered_flits == 0`` and
-   mutates nothing, so only routers holding at least one flit are stepped.
-3. **Channel deliveries are schedulable events.**  Every
-   ``Channel.send`` reports the payload's arrival cycle through the
-   channel's ``observer`` hook; the engine buckets arrivals by cycle and
-   only touches channels with a delivery due *now*.  Same-cycle
-   deliveries are replayed in channel registration order — the exact
-   order of the legacy dense scan (delivery order across channels is
-   commutative anyway, since every channel feeds a distinct buffer, but
-   matching the order keeps the equivalence argument trivial).
-
-Once the drain phase has started, endpoints no longer step, so when no
-channel has a scheduled delivery and no router buffers a flit the network
-state can never change again: the engine exits the loop early.  The
-reported ``total_cycles`` remains the configured horizon, which keeps
-every derived statistic bit-identical to a full legacy run.
+It is the reference of the equivalence test suite: the numpy array
+kernel behind :mod:`repro.noc.vec_engine` must leave the network in
+bit-identical state under the same configuration and seed, which the
+suite checks field by field on the final results.  It is also the only
+loop that steps the ``router_pipeline="staged"`` routers, so staged
+configurations always run here (see
+:meth:`~repro.noc.simulator.NocSimulator.resolve_engine`).
 """
 
 from __future__ import annotations
@@ -50,14 +27,14 @@ from repro.telemetry.metrics import sample_object_cycle
 from repro.telemetry.session import TelemetrySession, install_probes, uninstall_probes
 
 #: Canonical names of every cycle-loop engine, in default-preference order.
-#: ``"active"`` is the default, ``"vectorized"`` is the flat-state batch
-#: engine of :mod:`repro.noc.vec_engine` and ``"legacy"`` the original
-#: dense reference loop.  Every ``engine=`` validation site (simulator,
-#: sweep runner, workload bridge, CLI) imports this tuple so a new engine
-#: only has to be registered once.
-ENGINE_NAMES: tuple[str, ...] = ("active", "vectorized", "legacy")
+#: ``"vectorized"`` is the default numpy array kernel of
+#: :mod:`repro.noc.vec_engine` and ``"legacy"`` the dense object-model
+#: reference loop of this module.  Every ``engine=`` validation site
+#: (simulator, sweep runner, workload bridge, CLI) imports this tuple so a
+#: new engine only has to be registered once.
+ENGINE_NAMES: tuple[str, ...] = ("vectorized", "legacy")
 
-DEFAULT_ENGINE = "active"
+DEFAULT_ENGINE = "vectorized"
 
 
 @dataclass(frozen=True)
@@ -74,8 +51,8 @@ class PhaseSnapshots:
         The configured simulation horizon (warm-up + measurement + drain).
     cycles_executed:
         Loop iterations actually performed; smaller than ``total_cycles``
-        when the active-set engine exited early because the network had
-        fully drained.
+        when the array kernel exited early because the network had fully
+        drained.
     """
 
     ejected_before_measurement: int
@@ -98,7 +75,7 @@ class PhaseSnapshots:
 
 @dataclass
 class EngineStats:
-    """Instrumentation counters of one active-set engine run.
+    """Instrumentation counters of one array-kernel run.
 
     These are diagnostics only — they do not feed into the reported
     simulation statistics — but the test-suite uses them to assert that
@@ -122,38 +99,6 @@ def _phase_bounds(config: SimulationConfig) -> tuple[int, int, int]:
 
 def _injected_total(network: Network) -> int:
     return sum(endpoint.injected_flits for endpoint in network.endpoints)
-
-
-def attach_delivery_observers(channels, pending: dict[int, list[int]]) -> None:
-    """Attach arrival observers that bucket channel deliveries by cycle.
-
-    Shared by the active-set and vectorized engines so the event
-    scheduling they both rely on for the bit-identical contract has a
-    single implementation.  For every channel (in the given order, which
-    is the index recorded in the buckets): future ``send`` calls append
-    the channel's index to ``pending[arrival_cycle]``, and payloads
-    already in flight are re-scheduled immediately (clamped to cycle 0 so
-    a network resumed mid-flight delivers overdue payloads on the first
-    cycle).  Callers must reset ``channel.observer`` to ``None`` when the
-    run ends, and must drain each bucket with ``sorted(set(bucket))`` to
-    replay same-cycle deliveries in channel registration order.
-    """
-
-    def make_observer(index: int):
-        def observe(arrival: int) -> None:
-            bucket = pending.get(arrival)
-            if bucket is None:
-                pending[arrival] = [index]
-            else:
-                bucket.append(index)
-
-        return observe
-
-    for index, channel in enumerate(channels):
-        channel.observer = make_observer(index)
-        # Re-schedule payloads already in flight (empty for fresh networks).
-        for arrival, _payload in channel.pending():
-            pending.setdefault(max(arrival, 0), []).append(index)
 
 
 def run_legacy_loop(
@@ -210,106 +155,3 @@ def run_legacy_loop(
         cycles_executed=total_cycles,
     )
 
-
-class ActiveSetEngine:
-    """Event-scheduled cycle loop that skips idle components.
-
-    See the module docstring for the invariants that make the skipping
-    observationally equivalent to the legacy dense loop.  An engine
-    instance is single-use: create one per :meth:`run` call.
-    """
-
-    def __init__(self, network: Network, config: SimulationConfig) -> None:
-        self._network = network
-        self._config = config
-        self.stats = EngineStats()
-
-    def run(
-        self, telemetry: TelemetrySession | None = None
-    ) -> PhaseSnapshots:
-        """Advance the network to the end of the drain phase (or early exit)."""
-        network = self._network
-        config = self._config
-        stats = self.stats
-        warmup_end, measure_end, total_cycles = _phase_bounds(config)
-
-        endpoints = network.endpoints
-        routers = network.routers
-        channel_sinks = network.channel_sinks()
-
-        metrics = telemetry.metrics if telemetry is not None else None
-        observed = telemetry is not None and telemetry.observes_network
-        if observed:
-            install_probes(routers, endpoints, telemetry)
-
-        # Arrival buckets: cycle -> list of channel indices with a delivery
-        # due that cycle (one entry per sent payload; duplicates collapse at
-        # delivery time).  Channel latencies are >= 1, so a bucket is always
-        # fully populated before its cycle is processed.
-        pending: dict[int, list[int]] = {}
-        attach_delivery_observers([channel for channel, _ in channel_sinks], pending)
-
-        ejected_before = ejected_after = 0
-        injected_before = injected_after = 0
-
-        try:
-            cycle = 0
-            while cycle < total_cycles:
-                if cycle == warmup_end:
-                    ejected_before = network.total_ejected_flits()
-                    injected_before = _injected_total(network)
-                if cycle == measure_end:
-                    ejected_after = network.total_ejected_flits()
-                    injected_after = _injected_total(network)
-                    # From here on endpoints no longer step; if nothing is in
-                    # flight anywhere the state is final and the remaining
-                    # drain cycles are provably idle.
-                if cycle >= measure_end and not pending and not any(
-                    router.buffered_flits for router in routers
-                ):
-                    stats.early_exit_cycle = cycle
-                    break
-
-                bucket = pending.pop(cycle, None)
-                if bucket is not None:
-                    for index in sorted(set(bucket)):
-                        channel, sink = channel_sinks[index]
-                        for payload in channel.receive(cycle):
-                            sink(payload, cycle)
-                            stats.channel_deliveries += 1
-
-                if cycle < measure_end:
-                    measured_phase = cycle >= warmup_end
-                    for endpoint in endpoints:
-                        endpoint.step(cycle, measured_phase=measured_phase)
-                    stats.endpoint_steps += len(endpoints)
-
-                for router in routers:
-                    if router.buffered_flits:
-                        router.step(cycle)
-                        stats.router_steps += 1
-
-                if metrics is not None:
-                    sample_object_cycle(routers, endpoints, metrics)
-                stats.cycles_executed += 1
-                cycle += 1
-        finally:
-            for channel, _ in channel_sinks:
-                channel.observer = None
-            if observed:
-                uninstall_probes(routers, endpoints)
-        if metrics is not None:
-            metrics.finalize(total_cycles)
-
-        if config.drain_cycles == 0:
-            ejected_after = network.total_ejected_flits()
-            injected_after = _injected_total(network)
-
-        return PhaseSnapshots(
-            ejected_before_measurement=ejected_before,
-            injected_before_measurement=injected_before,
-            ejected_after_measurement=ejected_after,
-            injected_after_measurement=injected_after,
-            total_cycles=total_cycles,
-            cycles_executed=stats.cycles_executed,
-        )

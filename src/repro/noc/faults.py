@@ -15,7 +15,7 @@ lifetime.  This module makes such faults first-class simulation inputs:
   simulator requires.  Because the degraded graph is built *before*
   :class:`~repro.noc.routing.RoutingTables` construction, adaptive
   minimal routing and the up*/down* escape network rebuild automatically
-  and every cycle-loop engine (legacy, active-set, vectorized) simulates
+  and every cycle-loop engine (vectorized, legacy) simulates
   the faulted topology bit-identically — no engine knows faults exist.
 * Fault sets that would leave an unusable network (a disconnected
   topology, an isolated router whose endpoints could neither send nor

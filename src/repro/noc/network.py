@@ -296,21 +296,13 @@ class Network:
 
     # -- per-cycle operation --------------------------------------------------------
 
-    def channel_sinks(self) -> list[tuple[Channel, _Sink]]:
-        """The registered ``(channel, sink)`` pairs, in registration order.
-
-        The registration order is the order :meth:`deliver_channels` scans
-        the channels in; the active-set engine relies on it to replay
-        same-cycle deliveries in exactly the same sequence.
-        """
-        return list(self._channels)
-
     def channel_targets(self) -> list[tuple[Channel, ChannelTarget]]:
         """The registered channels with structured delivery targets.
 
-        Same registration order as :meth:`channel_sinks`; the vectorized
-        engine uses the targets to route arrivals into its flat router
-        state instead of going through the object-model sink closures.
+        In registration order, the order :meth:`deliver_channels` scans
+        the channels in; the vectorized engine uses the targets to route
+        arrivals into its flat router state instead of going through the
+        object-model sink closures.
         """
         return list(zip((channel for channel, _ in self._channels), self._channel_targets))
 

@@ -1,11 +1,12 @@
 """The simulation driver: warm-up, measurement and drain phases.
 
-The simulator advances the network one cycle at a time through one of the
-cycle-loop engines of :mod:`repro.noc.engine` — the default *active-set*
-engine skips idle routers and channels and exits early once the network
-has drained; the *legacy* engine is the original dense scan.  Both are
-bit-identical under a fixed seed.  Statistics follow standard
-network-on-chip methodology (and BookSim2's conventions):
+The simulator advances the network one cycle at a time through one of two
+cycle-loop engines — the default *vectorized* numpy array kernel of
+:mod:`repro.noc.vec_engine`, which skips idle work and exits early once
+the network has drained, and the *legacy* dense object-model loop of
+:mod:`repro.noc.engine`, the reference.  Both are bit-identical under a
+fixed seed.  Statistics follow standard network-on-chip methodology (and
+BookSim2's conventions):
 
 * packets created during the *warm-up* phase populate the network but are
   not measured,
@@ -20,15 +21,14 @@ network-on-chip methodology (and BookSim2's conventions):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from repro.graphs.model import ChipGraph
 from repro.noc.config import SimulationConfig
 from repro.noc.engine import (
+    DEFAULT_ENGINE,
     ENGINE_NAMES,
-    ActiveSetEngine,
     EngineStats,
     PhaseSnapshots,
     run_legacy_loop,
@@ -73,38 +73,6 @@ class SimulationResult:
         if self.measured_packets_created == 0:
             return 1.0
         return self.measured_packets_ejected / self.measured_packets_created
-
-
-#: Whether the one-shot staged-pipeline fallback warning has fired in
-#: this process (reset by tests via :func:`_reset_staged_fallback_warning`).
-_staged_fallback_warned = False
-
-
-def _warn_staged_fallback() -> None:
-    """Warn (once per process) that ``vectorized`` falls back to ``active``.
-
-    The fallback is silent in results — the engines are bit-identical —
-    but callers recording provenance must not be left believing the numpy
-    kernel ran, so the first fallback of a process says so out loud.
-    """
-    global _staged_fallback_warned
-    if _staged_fallback_warned:
-        return
-    _staged_fallback_warned = True
-    warnings.warn(
-        "engine 'vectorized' implements the single-stage router pipeline "
-        "only; running the bit-identical 'active' engine instead for "
-        "router_pipeline='staged' (manifests record the engine that "
-        "actually ran)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_staged_fallback_warning() -> None:
-    """Re-arm the one-shot fallback warning (test seam)."""
-    global _staged_fallback_warned
-    _staged_fallback_warned = False
 
 
 @dataclass(frozen=True)
@@ -263,13 +231,14 @@ class NocSimulator:
             injection_rate=injection_rate,
         )
         self._injection_rate = injection_rate
-        #: Instrumentation of the last active-set run (``None`` before the
+        #: Instrumentation of the last vectorized run (``None`` before the
         #: first run and after legacy runs).
         self.last_engine_stats: EngineStats | None = None
         #: Name of the engine that actually executed the last :meth:`run`
         #: (``None`` before the first run).  Differs from the requested
-        #: engine exactly when the staged-pipeline fallback applied —
-        #: provenance consumers must record *this*, never the request.
+        #: engine exactly when a staged-pipeline config resolved to
+        #: ``"legacy"`` — provenance consumers must record *this*, never
+        #: the request.
         self.last_engine: str | None = None
 
     @property
@@ -298,32 +267,30 @@ class NocSimulator:
     def resolve_engine(engine: str, config: SimulationConfig) -> str:
         """The engine that will *actually* run for this request.
 
-        The single source of truth for the staged-pipeline fallback: the
-        numpy ``vectorized`` kernel implements single-stage semantics
-        only, so under ``router_pipeline="staged"`` it transparently runs
-        the bit-identical ``active`` object model instead (warning once
-        per process).  Everything that records provenance — manifests,
-        store entries, bench reports — must record the *resolved* name,
-        which :attr:`last_engine` exposes after a run.
+        The single source of truth for staged-pipeline configs: the numpy
+        ``vectorized`` kernel implements single-stage semantics only, and
+        the ``legacy`` loop is the one engine that steps the staged
+        router, so under ``router_pipeline="staged"`` every request
+        resolves to ``"legacy"``.  Everything that records provenance —
+        manifests, store entries, bench reports — must record the
+        *resolved* name, which :attr:`last_engine` exposes after a run.
         """
         check_in_choices("engine", engine, ENGINE_NAMES)
-        if engine == "vectorized" and config.is_staged_pipeline:
-            _warn_staged_fallback()
-            return "active"
+        if config.is_staged_pipeline:
+            return "legacy"
         return engine
 
-    def run(self, *, engine: str = "active", telemetry=None) -> SimulationResult:
+    def run(self, *, engine: str = DEFAULT_ENGINE, telemetry=None) -> SimulationResult:
         """Execute warm-up, measurement and drain, then summarise the statistics.
 
         Parameters
         ----------
         engine:
-            ``"active"`` (default) uses the active-set fast path of
-            :mod:`repro.noc.engine`; ``"vectorized"`` uses the flat-state
-            batch engine of :mod:`repro.noc.vec_engine`; ``"legacy"`` uses
-            the original dense cycle loop.  All three produce bit-identical
-            results under a fixed seed — the legacy engine remains the
-            reference for the equivalence test suite.
+            ``"vectorized"`` (default) uses the numpy array kernel of
+            :mod:`repro.noc.vec_engine`; ``"legacy"`` uses the dense
+            object-model loop of :mod:`repro.noc.engine`.  Both produce
+            bit-identical results under a fixed seed — the legacy engine
+            remains the reference for the equivalence test suite.
         telemetry:
             Optional :class:`~repro.telemetry.TelemetrySession`.  Its
             collector / tracer / profiler observe the run through every
@@ -333,12 +300,9 @@ class NocSimulator:
 
         Notes
         -----
-        With ``router_pipeline="staged"`` the ``"vectorized"`` engine
-        transparently runs the active-set object model instead: the numpy
-        kernel implements the single-stage pipeline semantics only, and
-        the active/legacy loops already step the staged router
-        bit-identically, so every engine name keeps returning identical
-        results in both pipeline modes.
+        With ``router_pipeline="staged"`` every request runs the legacy
+        loop (see :meth:`resolve_engine`): the numpy kernel implements the
+        single-stage pipeline semantics only.
         """
         engine = self.resolve_engine(engine, self._config)
         self.last_engine = engine
@@ -347,14 +311,10 @@ class NocSimulator:
             snapshots = run_legacy_loop(
                 self._network, self._config, telemetry=telemetry
             )
-        elif engine == "vectorized":
+        else:
             vectorized = VectorizedEngine(self._network, self._config)
             snapshots = vectorized.run(telemetry)
             self.last_engine_stats = vectorized.stats
-        else:
-            active = ActiveSetEngine(self._network, self._config)
-            snapshots = active.run(telemetry)
-            self.last_engine_stats = active.stats
 
         return collect_results(
             self._network, self._config, self._injection_rate, snapshots
@@ -371,7 +331,7 @@ class NocSimulator:
         config: SimulationConfig | None = None,
         traffic: TrafficPattern | str = "uniform",
         faults: FaultSet | None = None,
-        engine: str = "vectorized",
+        engine: str = DEFAULT_ENGINE,
         on_point: Callable[[int, Network, SimulationResult], None] | None = None,
         telemetry: Callable[[int, BatchPoint], object] | None = None,
     ) -> list[SimulationResult]:
@@ -405,8 +365,8 @@ class NocSimulator:
             fault arrangement share its degraded topology.
         engine:
             ``"vectorized"`` (default) uses the batched flat-state engine;
-            ``"active"`` / ``"legacy"`` fall back to per-point loops that
-            still share the topology and routing-table build.
+            ``"legacy"`` runs the per-point dense loop, which still shares
+            the topology and routing-table build.
         on_point:
             Optional hook called as ``on_point(index, network, result)``
             after each point, while the network still holds that point's
@@ -423,11 +383,11 @@ class NocSimulator:
         if config is None:
             config = SimulationConfig()
         # The numpy batch kernel implements single-stage semantics only;
-        # staged-pipeline batches resolve to the per-point active-set
-        # loop below, which still shares the (degraded) topology and
+        # staged-pipeline batches resolve to the per-point legacy loop
+        # below, which still shares the (degraded) topology and
         # routing-table build across all points.  Callers recording
         # provenance resolve the same way (resolve_engine is the single
-        # source of truth for the fallback).
+        # source of truth).
         engine = cls.resolve_engine(engine, config)
         ordered = list(points)
         if not ordered:
@@ -448,7 +408,7 @@ class NocSimulator:
             return replace(config, seed=point.seed)
 
         results: list[SimulationResult] = []
-        if engine != "vectorized":
+        if engine == "legacy":
             for index, point in enumerate(ordered):
                 cfg = point_config(point)
                 network = Network(
@@ -459,10 +419,7 @@ class NocSimulator:
                     routing=routing,
                 )
                 session = telemetry(index, point) if telemetry is not None else None
-                if engine == "legacy":
-                    snapshots = run_legacy_loop(network, cfg, telemetry=session)
-                else:
-                    snapshots = ActiveSetEngine(network, cfg).run(session)
+                snapshots = run_legacy_loop(network, cfg, telemetry=session)
                 result = collect_results(
                     network, cfg, point.injection_rate, snapshots
                 )

@@ -1,8 +1,8 @@
 """The vectorized engines: array-native cycle loops over the whole network.
 
-This module hosts the numpy-backed cycle-loop engines next to the legacy
-dense scan and the active-set scheduler of :mod:`repro.noc.engine`.  Both
-delegate the actual cycle stepping to the array kernel
+This module hosts the default numpy-backed cycle-loop engines; the legacy
+dense scan of :mod:`repro.noc.engine` is their object-model reference.
+Both delegate the actual cycle stepping to the array kernel
 (:mod:`repro.noc.array_kernel`), which expresses routing, VC allocation,
 switch allocation and credit/occupancy updates as masked ndarray
 operations over the full flat ``(router, port, vc)`` state — no
@@ -23,10 +23,11 @@ introspection — flit conservation, in-flight measured packets, buffered
 counts — reports exactly what a legacy run would.
 
 Equivalence contract: under the same configuration and seed the engines
-are **bit-identical** to the legacy and active-set engines, for every
-arrangement kind, traffic pattern (including trace replay) and phase
-configuration; the equivalence suite compares final results field by
-field across all engines.
+are **bit-identical** to the legacy engine, for every arrangement kind,
+traffic pattern (including trace replay) and phase configuration; the
+equivalence suite compares final results field by field across engines.
+The kernel implements the single-stage router pipeline only; staged
+configurations resolve to the legacy loop.
 """
 
 from __future__ import annotations
@@ -77,8 +78,6 @@ class VectorizedEngine:
     """Array-kernel cycle loop; see :mod:`repro.noc.array_kernel`.
 
     An engine instance is single-use: create one per :meth:`run` call.
-    The interface mirrors :class:`repro.noc.engine.ActiveSetEngine` so
-    :class:`~repro.noc.simulator.NocSimulator` can treat them uniformly.
     The engine accepts a network in any (also mid-run) state: the kernel
     captures routers and in-flight channel payloads, runs the phase loop
     on the flat arrays, and materialises the final state back into the

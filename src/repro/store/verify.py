@@ -3,11 +3,13 @@
 A store entry is self-describing: the candidate identity it carries
 rebuilds the exact :class:`~repro.core.parallel.SweepCandidate`, and the
 embedded provenance manifest carries the full simulation configuration
-(seed included) and engine the result was produced with.  Verification
-replays that simulation and requires the canonical JSON rendering of the
-result to match the stored one byte for byte — the strongest possible
-"this cache is not lying" check, valid across engines because every
-engine is bit-identical under a fixed seed.
+(seed included) the result was produced with.  Verification replays that
+simulation and requires the canonical JSON rendering of the result to
+match the stored one byte for byte — the strongest possible "this cache
+is not lying" check.  The replay runs the default engine (or an explicit
+override), not the one the manifest records: the engines are
+bit-identical under a fixed seed, and the recorded name is provenance
+only — it may name an engine that no longer exists.
 """
 
 from __future__ import annotations
@@ -80,8 +82,10 @@ def verify_entry(entry: StoreEntry, *, engine: str | None = None) -> VerifyOutco
 
     Entries without an embedded manifest (pre-provenance legacy entries)
     cannot be replayed — their exact configuration is unknown — and are
-    reported as ``skipped``.  ``engine`` overrides the manifest's engine
-    (all engines are bit-identical, so this only changes wall time).
+    reported as ``skipped``.  The replay runs ``engine`` if given and
+    :data:`~repro.noc.engine.DEFAULT_ENGINE` otherwise; the manifest's
+    ``engine`` field is provenance and is not consulted (the engines are
+    bit-identical, so the choice only changes wall time).
     """
     from repro.core.parallel import _evaluate_work_item, simulation_result_to_dict
     from repro.noc.config import SimulationConfig
@@ -105,8 +109,8 @@ def verify_entry(entry: StoreEntry, *, engine: str | None = None) -> VerifyOutco
             "mismatch",
             "stored key does not hash from the stored candidate + config",
         )
-    run_engine = engine if engine is not None else manifest.get("engine", DEFAULT_ENGINE)
-    ((_, result, wall, _),) = _evaluate_work_item(
+    run_engine = engine if engine is not None else DEFAULT_ENGINE
+    ((_, result, wall, ran_engine),) = _evaluate_work_item(
         ([(0, candidate, config.seed)], config, run_engine)
     )
     fresh = canonical_result_json(simulation_result_to_dict(result))
@@ -115,7 +119,7 @@ def verify_entry(entry: StoreEntry, *, engine: str | None = None) -> VerifyOutco
         return VerifyOutcome(
             entry.key, "mismatch", "recomputed result differs from the stored entry"
         )
-    return VerifyOutcome(entry.key, "ok", f"recomputed in {wall:.2f}s ({run_engine})")
+    return VerifyOutcome(entry.key, "ok", f"recomputed in {wall:.2f}s ({ran_engine})")
 
 
 def sample_keys(keys: Sequence[str], sample: int, *, seed: int = 0) -> list[str]:

@@ -1,8 +1,7 @@
 """Observability for the simulator: metrics, tracing, provenance, progress.
 
-The telemetry subsystem is a cross-cutting layer over the four execution
-paths (legacy dense loop, active-set engine, vectorized engine, batched
-array kernel):
+The telemetry subsystem is a cross-cutting layer over the three execution
+paths (legacy dense loop, vectorized engine, batched array kernel):
 
 * :class:`MetricsCollector` — per-cycle time series (buffer occupancy,
   link utilisation, VC-allocation stalls, in-flight flits, injection

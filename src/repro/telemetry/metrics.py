@@ -1,8 +1,8 @@
 """Per-cycle metric time series of one simulation run.
 
 A :class:`MetricsCollector` records five series, one value per simulated
-cycle, identically across every engine (legacy dense loop, active-set,
-vectorized, batched):
+cycle, identically across every engine (legacy dense loop, vectorized,
+batched):
 
 * ``buffer_occupancy`` — flits stored in router input buffers,
 * ``link_flits`` — flit deliveries completing on channels this cycle
@@ -156,8 +156,8 @@ class MetricsCollector:
 def sample_object_cycle(routers, endpoints, metrics: MetricsCollector) -> None:
     """Sample end-of-cycle state from the object model and close the cycle.
 
-    Shared by the legacy and active-set engines so the two can never
-    diverge in what they feed the collector.
+    The legacy engine's sampler; the array kernel samples the same
+    quantities from its flat state.
     """
     buffered = 0
     stalls = 0

@@ -15,8 +15,7 @@ existing :class:`~repro.noc.traffic.TrafficPattern` seam:
    a makespan proxy and per-communication-edge latencies.
 
 Determinism: the destination schedules never consult the RNG, so a trace
-run is bit-identical across the legacy, active-set and vectorized engines
-and across
+run is bit-identical across the vectorized and legacy engines and across
 ``jobs=1`` / ``jobs=N`` sweeps under a fixed seed — the same guarantee the
 synthetic patterns provide.
 """
@@ -399,9 +398,9 @@ def simulate_workload(
 
     ``injection_rate`` is the offered load of the *heaviest* source
     endpoint; every other source is scaled down proportionally to its
-    share of the workload traffic.  Every cycle-loop engine (``"active"``,
-    ``"vectorized"``, ``"legacy"``) is supported and bit-identical under a
-    fixed seed.
+    share of the workload traffic.  Both cycle-loop engines
+    (``"vectorized"``, ``"legacy"``) are supported and bit-identical under
+    a fixed seed.
 
     With a non-empty ``faults`` set the workload runs on the *degraded*
     topology: the graph loses its failed links and routers (survivors are

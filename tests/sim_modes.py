@@ -15,10 +15,10 @@ from __future__ import annotations
 from repro.noc.simulator import BatchPoint, NocSimulator
 
 #: Every way to run the cycle-accurate simulator that must be
-#: *bit-identical* to the legacy dense loop: the optimised engines plus
+#: *bit-identical* to the legacy dense loop: the vectorized engine plus
 #: the batched multi-point path (``NocSimulator.run_batch`` with the
 #: vectorized batch engine).
-FAST_SIM_MODES: tuple[str, ...] = ("active", "vectorized", "batched")
+FAST_SIM_MODES: tuple[str, ...] = ("vectorized", "batched")
 
 #: The fast modes plus the legacy reference itself (for suites that check
 #: self-consistency properties rather than equivalence against legacy).

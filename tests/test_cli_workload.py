@@ -23,11 +23,17 @@ class TestWorkloadCommand:
         assert "partition" in out
 
     def test_engines_produce_identical_tables(self, capsys):
-        assert main(WORKLOAD_ARGS + ["--engine", "active"]) == 0
-        active = capsys.readouterr().out
+        assert main(WORKLOAD_ARGS + ["--engine", "vectorized"]) == 0
+        vectorized = capsys.readouterr().out
         assert main(WORKLOAD_ARGS + ["--engine", "legacy"]) == 0
         legacy = capsys.readouterr().out
-        assert active == legacy
+        assert vectorized == legacy
+
+    def test_removed_active_engine_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(WORKLOAD_ARGS + ["--engine", "active"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'active'" in capsys.readouterr().err
 
     def test_jobs_produce_identical_tables(self, capsys):
         grid_args = [

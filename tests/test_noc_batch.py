@@ -89,7 +89,7 @@ class TestNetworkReset:
         network = Network(graph, FAST_CONFIG, injection_rate=0.5)
         self._run(network, FAST_CONFIG)
         network.reset()
-        assert all(not c.in_flight for c, _ in network.channel_sinks())
+        assert all(not c.in_flight for c, _ in network.channel_targets())
         assert network.total_created_flits() == 0
         assert network.total_ejected_flits() == 0
         assert all(e.source_queue_length == 0 for e in network.endpoints)
@@ -136,17 +136,16 @@ class TestRunBatch:
         )
         assert result == expected
 
-    @pytest.mark.parametrize("engine", ["active", "legacy"])
-    def test_fallback_engines_share_routing_and_match(self, engine):
+    def test_legacy_engine_shares_routing_and_matches(self):
         graph = make_arrangement("grid", 9).graph
         rates = (0.1, 0.4)
         expected = [
-            NocSimulator(graph, FAST_CONFIG, injection_rate=rate).run(engine=engine)
+            NocSimulator(graph, FAST_CONFIG, injection_rate=rate).run(engine="legacy")
             for rate in rates
         ]
         batched = NocSimulator.run_batch(
             graph, [BatchPoint(rate) for rate in rates],
-            config=FAST_CONFIG, engine=engine,
+            config=FAST_CONFIG, engine="legacy",
         )
         assert batched == expected
 

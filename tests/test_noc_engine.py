@@ -1,10 +1,10 @@
 """Determinism and equivalence of the cycle-loop engines.
 
-The active-set and vectorized engines — and the batched multi-point path
-— must be pure optimisations: under a fixed seed they produce
+The vectorized engine — and the batched multi-point path — must be pure
+optimisations: under a fixed seed they produce
 bit-identical :class:`SimulationResult`s to the legacy dense loop, across
 arrangements, injection rates and traffic patterns, while actually
-skipping idle work (which the engines' instrumentation counters expose).
+skipping idle work (which the engine's instrumentation counters expose).
 The mode grid lives in ``tests/conftest.py`` (``fast_sim_mode``), so a
 new engine joins every equivalence class here with one fixture edit.
 """
@@ -15,12 +15,7 @@ import pytest
 
 from repro.arrangements.factory import make_arrangement
 from repro.noc.config import SimulationConfig
-from repro.noc.engine import (
-    ENGINE_NAMES,
-    ActiveSetEngine,
-    PhaseSnapshots,
-    run_legacy_loop,
-)
+from repro.noc.engine import ENGINE_NAMES, PhaseSnapshots, run_legacy_loop
 from repro.noc.network import Network
 from repro.noc.simulator import NocSimulator
 from repro.noc.vec_engine import VectorizedEngine
@@ -75,7 +70,20 @@ class TestEngineEquivalence:
         assert first == second
 
     def test_engine_name_registry_is_stable(self):
-        assert ENGINE_NAMES == ("active", "vectorized", "legacy")
+        assert ENGINE_NAMES == ("vectorized", "legacy")
+
+    def test_invalid_engine_name_rejected(self):
+        graph = make_arrangement("grid", 4).graph
+        simulator = NocSimulator(graph, FAST_CONFIG, injection_rate=0.1)
+        with pytest.raises(ValueError):
+            simulator.run(engine="warp-speed")
+
+    def test_legacy_loop_returns_full_horizon_snapshots(self):
+        graph = make_arrangement("grid", 9).graph
+        network = Network(graph, FAST_CONFIG, injection_rate=0.1)
+        snapshots = run_legacy_loop(network, FAST_CONFIG)
+        assert isinstance(snapshots, PhaseSnapshots)
+        assert snapshots.cycles_executed == snapshots.total_cycles
 
     def test_different_seeds_differ(self):
         graph = make_arrangement("grid", 9).graph
@@ -121,8 +129,8 @@ class TestEngineEquivalence:
         assert [e.ejected_flits for e in legacy_net.endpoints] == [
             e.ejected_flits for e in fast_net.endpoints
         ]
-        legacy_pending = [c.pending() for c, _ in legacy_net.channel_sinks()]
-        fast_pending = [c.pending() for c, _ in fast_net.channel_sinks()]
+        legacy_pending = [c.pending() for c, _ in legacy_net.channel_targets()]
+        fast_pending = [c.pending() for c, _ in fast_net.channel_targets()]
         assert [len(p) for p in legacy_pending] == [len(p) for p in fast_pending]
         fast_net.verify_flit_conservation()
 
@@ -171,7 +179,7 @@ class TestFaultedEngineEquivalence:
         simulator = NocSimulator(
             graph, FAST_CONFIG, injection_rate=0.2, traffic="uniform", faults=faults
         )
-        result = simulator.run(engine="active")
+        result = simulator.run()
         assert result.num_routers == 6
         assert simulator.network.num_routers == 6
 
@@ -191,66 +199,6 @@ class TestFaultedEngineEquivalence:
         }
         assert not router_links & failed
         assert all(graph.has_edge(*link) for link in router_links)
-
-
-class TestActiveSetFastPath:
-    def test_early_exit_when_drained(self):
-        simulator, result = _result("grid", 9, 0.05, "uniform", "active")
-        stats = simulator.last_engine_stats
-        assert stats is not None
-        # At 5% load the network drains long before the configured horizon.
-        assert stats.early_exit_cycle is not None
-        assert stats.cycles_executed < result.cycles_simulated
-        # The reported horizon stays the configured one regardless.
-        total = (
-            FAST_CONFIG.warmup_cycles
-            + FAST_CONFIG.measurement_cycles
-            + FAST_CONFIG.drain_cycles
-        )
-        assert result.cycles_simulated == total
-
-    def test_router_steps_are_skipped_when_idle(self):
-        simulator, _ = _result("grid", 9, 0.05, "uniform", "active")
-        stats = simulator.last_engine_stats
-        dense_router_steps = stats.cycles_executed * 9
-        assert stats.router_steps < dense_router_steps
-
-    def test_endpoint_steps_match_generation_phases(self):
-        simulator, _ = _result("grid", 9, 0.05, "uniform", "active")
-        stats = simulator.last_engine_stats
-        num_endpoints = simulator.network.num_endpoints
-        generation_cycles = FAST_CONFIG.warmup_cycles + FAST_CONFIG.measurement_cycles
-        # Endpoints step densely through warm-up + measurement (the RNG
-        # contract) and never during the drain.
-        assert stats.endpoint_steps == generation_cycles * num_endpoints
-
-    def test_observers_are_detached_after_run(self):
-        simulator, _ = _result("grid", 9, 0.1, "uniform", "active")
-        for channel, _ in simulator.network.channel_sinks():
-            assert channel.observer is None
-
-    def test_legacy_loop_returns_full_horizon_snapshots(self):
-        graph = make_arrangement("grid", 9).graph
-        network = Network(graph, FAST_CONFIG, injection_rate=0.1)
-        snapshots = run_legacy_loop(network, FAST_CONFIG)
-        assert isinstance(snapshots, PhaseSnapshots)
-        assert snapshots.cycles_executed == snapshots.total_cycles
-
-    def test_engine_snapshot_counters_match_legacy(self):
-        graph = make_arrangement("hexamesh", 7).graph
-        legacy_net = Network(graph, FAST_CONFIG, injection_rate=0.3)
-        legacy = run_legacy_loop(legacy_net, FAST_CONFIG)
-        active_net = Network(graph, FAST_CONFIG, injection_rate=0.3)
-        active = ActiveSetEngine(active_net, FAST_CONFIG).run()
-        assert legacy.ejected_during_measurement == active.ejected_during_measurement
-        assert legacy.injected_during_measurement == active.injected_during_measurement
-        assert legacy.total_cycles == active.total_cycles
-
-    def test_invalid_engine_name_rejected(self):
-        graph = make_arrangement("grid", 4).graph
-        simulator = NocSimulator(graph, FAST_CONFIG, injection_rate=0.1)
-        with pytest.raises(ValueError):
-            simulator.run(engine="warp-speed")
 
 
 class TestVectorizedFastPath:
@@ -282,11 +230,6 @@ class TestVectorizedFastPath:
         # Generation draws run densely through warm-up + measurement (the
         # RNG contract) and never during the drain.
         assert stats.endpoint_steps == generation_cycles * num_endpoints
-
-    def test_observers_are_detached_after_run(self):
-        simulator, _ = _result("grid", 9, 0.1, "uniform", "vectorized")
-        for channel, _ in simulator.network.channel_sinks():
-            assert channel.observer is None
 
     def test_direct_engine_snapshots_match_legacy(self):
         graph = make_arrangement("hexamesh", 7).graph
@@ -320,10 +263,9 @@ class TestVectorizedFastPath:
     def test_channel_target_metadata_covers_all_channels(self):
         graph = make_arrangement("grid", 4).graph
         network = Network(graph, FAST_CONFIG, injection_rate=0.1)
-        sinks = network.channel_sinks()
         targets = network.channel_targets()
-        assert len(sinks) == len(targets)
-        assert [c for c, _ in sinks] == [c for c, _ in targets]
+        # Two flit + two credit channels per link, three per endpoint.
+        assert len(targets) == 4 * graph.num_edges + 3 * network.num_endpoints
         kinds = {target[0] for _, target in targets}
         assert kinds == {
             "router_flit", "router_credit", "endpoint_flit", "endpoint_credit"

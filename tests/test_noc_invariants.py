@@ -1,7 +1,7 @@
 """Flit-conservation invariants across arrangements, traffic and engines.
 
 For every arrangement kind and every registered traffic pattern, and for
-every simulation mode (legacy, active-set, vectorized, batched — the grid
+every simulation mode (legacy, vectorized, batched — the grid
 is the ``sim_mode`` fixture of ``tests/conftest.py``), the network must
 account for every flit it ever created: ``created == ejected + in-flight + source-queued`` at the end of
 a run, and the measured-packet bookkeeping of the simulator must agree
@@ -207,7 +207,7 @@ def test_faulted_trace_traffic_flit_conservation(kind, count, sim_mode):
 
 @pytest.mark.parametrize("kind,count", KIND_SIZES)
 def test_component_accessors_are_nonnegative_and_consistent(kind, count):
-    network, _ = _run(kind, count, "uniform", "active")
+    network, _ = _run(kind, count, "uniform", "vectorized")
     router_total = sum(r.in_flight_measured_packets() for r in network.routers)
     assert router_total >= 0
     # The network total includes the router buffers plus the channels, so it

@@ -103,6 +103,10 @@ class TestJobSpec:
         with pytest.raises(ValueError, match="kind"):
             job_spec({"type": "sweep", "kinds": ["moebius"]})
 
+    def test_removed_active_engine_is_rejected(self):
+        with pytest.raises(ValueError, match="engine"):
+            job_spec({"type": "sweep", "engine": "active"})
+
     @pytest.mark.parametrize(
         "job_type, field",
         [

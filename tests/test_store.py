@@ -417,6 +417,20 @@ class TestVerify:
         assert outcome.status == "mismatch"
         assert "hash" in outcome.detail
 
+    def test_entry_recording_a_removed_engine_replays_ok(self, tmp_path):
+        # Entries written before the active-set engine was removed record
+        # ``"engine": "active"``; the recorded name is provenance only, so
+        # verify replays with the default engine and still passes.
+        store = self._populated(tmp_path)
+        (key,) = store.keys()
+        entry = store.get(key)
+        manifest = dict(entry.manifest, engine="active")
+        store.store(key, candidate=entry.candidate, result=entry.result, manifest=manifest)
+        (outcome,) = verify_store(store, sample=1)
+        assert store.get(key).manifest["engine"] == "active"
+        assert outcome.ok, outcome.detail
+        assert "(vectorized)" in outcome.detail
+
     def test_entry_without_manifest_is_skipped(self, tmp_path):
         store = ResultStore(str(tmp_path))
         store.store(KEY_A, candidate={"kind": "grid"}, result={"v": 1})

@@ -119,10 +119,10 @@ class TestFlitTracer:
         assert first["kind"] in TRACE_KINDS
 
     def test_chrome_trace_structure(self):
-        document = self._populated().to_chrome_trace(metadata={"engine": "active"})
+        document = self._populated().to_chrome_trace(metadata={"engine": "vectorized"})
         # Valid JSON end to end (what Perfetto actually parses).
         document = json.loads(json.dumps(document))
-        assert document["otherData"]["engine"] == "active"
+        assert document["otherData"]["engine"] == "vectorized"
         events = document["traceEvents"]
         spans = [event for event in events if event["ph"] in ("b", "e")]
         assert {event["ph"] for event in spans} == {"b", "e"}
@@ -318,7 +318,7 @@ class TestCliTelemetry:
         metrics = json.loads(metrics_path.read_text())
         assert set(metrics["series"]) == set(SERIES_NAMES)
         assert metrics["cycles_recorded"] == metrics["total_cycles"]
-        assert metrics["provenance"]["engine"] == "active"
+        assert metrics["provenance"]["engine"] == "vectorized"
         trace = json.loads(trace_path.read_text())
         assert trace["traceEvents"]
         with open(jsonl_path, encoding="utf-8") as handle:

@@ -138,13 +138,12 @@ class TestInjectionScaling:
 
 
 class TestWorkloadSimulation:
-    @pytest.mark.parametrize("engine", ("active", "vectorized"))
     @pytest.mark.parametrize("kind", ("dnn-pipeline", "client-server", "stencil"))
-    def test_engines_are_bit_identical(self, kind, engine):
+    def test_engines_are_bit_identical(self, kind):
         graph, workload, mapping = _mapped(kind=kind)
         fast = simulate_workload(
             graph, workload, mapping, config=FAST_CONFIG, injection_rate=0.2,
-            engine=engine,
+            engine="vectorized",
         )
         legacy = simulate_workload(
             graph, workload, mapping, config=FAST_CONFIG, injection_rate=0.2,
@@ -193,7 +192,7 @@ class TestWorkloadSimulation:
         ).run(engine="legacy")
         second = NocSimulator(
             graph, FAST_CONFIG, injection_rate=0.2, traffic=traffic
-        ).run(engine="active")
+        ).run(engine="vectorized")
         third = NocSimulator(
             graph, FAST_CONFIG, injection_rate=0.2, traffic=traffic
         ).run(engine="vectorized")
