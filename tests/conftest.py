@@ -4,7 +4,7 @@ Besides the small arrangement/graph fixtures, this module owns the
 **simulation-mode registry**: the single list of ways to run the
 cycle-accurate simulator that every equivalence, invariant, golden-trace
 and property suite parametrizes over.  Adding a new engine (or engine
-mode, like the batched path) to ``FAST_SIM_MODES`` enrols it in all of
+mode, like the batched path) to ``EQUIVALENT_SIM_MODES`` enrols it in all of
 those grids at once.
 """
 
@@ -20,11 +20,11 @@ from repro.linkmodel.parameters import EvaluationParameters
 from repro.noc.config import SimulationConfig
 
 from fault_scenarios import FAULT_SCENARIOS
-from sim_modes import ALL_SIM_MODES, FAST_SIM_MODES
+from sim_modes import ALL_SIM_MODES, EQUIVALENT_SIM_MODES
 
 
-@pytest.fixture(params=FAST_SIM_MODES)
-def fast_sim_mode(request):
+@pytest.fixture(params=EQUIVALENT_SIM_MODES)
+def equivalent_sim_mode(request):
     """Every simulation mode that must be bit-identical to legacy."""
     return request.param
 

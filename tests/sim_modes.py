@@ -8,21 +8,39 @@ constants directly (pytest's default ``prepend`` import mode puts
 new engine (or engine mode, like the batched path) to ``FAST_SIM_MODES``
 enrols it in every equivalence, invariant, golden-trace and property grid
 at once.
+
+The batched modes evaluate the requested point as the *second* point of
+a two-point batch, after a lead point at another rate and seed: batching
+promises bit-identical per-point results, so any state one point leaves
+behind in the shared build shows up as a divergence from the legacy run.
 """
 
 from __future__ import annotations
 
 from repro.noc.simulator import BatchPoint, NocSimulator
 
-#: Every way to run the cycle-accurate simulator that must be
-#: *bit-identical* to the legacy dense loop: the vectorized engine plus
-#: the batched multi-point path (``NocSimulator.run_batch`` with the
-#: vectorized batch engine).
+#: The array-kernel modes: the vectorized engine plus the batched
+#: multi-point path (``NocSimulator.run_batch`` with the vectorized batch
+#: engine).  The hypothesis properties sample from these.
 FAST_SIM_MODES: tuple[str, ...] = ("vectorized", "batched")
 
-#: The fast modes plus the legacy reference itself (for suites that check
-#: self-consistency properties rather than equivalence against legacy).
-ALL_SIM_MODES: tuple[str, ...] = ("legacy",) + FAST_SIM_MODES
+#: Every way to run the cycle-accurate simulator that must be
+#: *bit-identical* to one legacy ``NocSimulator.run``: the fast modes plus
+#: ``"batched-legacy"``, the per-point branch of ``run_batch``
+#: (``engine="legacy"``, the branch every staged-pipeline batch takes),
+#: which shares one topology, routing-table and traffic build across points.
+EQUIVALENT_SIM_MODES: tuple[str, ...] = FAST_SIM_MODES + ("batched-legacy",)
+
+#: The equivalent modes plus the legacy reference itself (for suites that
+#: check self-consistency properties rather than equivalence against legacy).
+ALL_SIM_MODES: tuple[str, ...] = ("legacy",) + EQUIVALENT_SIM_MODES
+
+#: The batch engine each batched mode hands to ``run_batch``.
+BATCH_ENGINES: dict[str, str] = {"batched": "vectorized", "batched-legacy": "legacy"}
+
+#: Injection rate of the lead point that runs before the requested point in
+#: the batched modes; no suite requests it, so the two points always differ.
+LEAD_POINT_RATE = 0.45
 
 
 def simulate_noc(
@@ -37,30 +55,40 @@ def simulate_noc(
 ):
     """Run one simulation point under a mode; return ``(network, result)``.
 
-    ``mode`` is an engine name or ``"batched"``, which evaluates the point
-    through :meth:`NocSimulator.run_batch` (vectorized batch engine) and
-    captures the network through the ``on_point`` hook — so every suite
-    can inspect final network state uniformly across modes.  ``telemetry``
-    is an optional :class:`~repro.telemetry.TelemetrySession` observing
-    the run (in batched mode it is handed to the single point).
+    ``mode`` is an engine name or a batched mode (``"batched"`` /
+    ``"batched-legacy"``), which evaluates the point through
+    :meth:`NocSimulator.run_batch` as the second point of a batch, after a
+    lead point at :data:`LEAD_POINT_RATE` with seed ``config.seed + 1``,
+    and captures the network through the ``on_point`` hook — so every
+    suite can inspect final network state uniformly across modes.
+    ``telemetry`` is an optional :class:`~repro.telemetry.TelemetrySession`
+    observing the run (in the batched modes it observes the requested
+    point only).
     """
-    if mode == "batched":
+    if mode in BATCH_ENGINES:
         captured = {}
 
         def grab(index, network, result):
-            captured["network"] = network
+            if index == 1:
+                captured["network"] = network
+
+        def observe(index, point):
+            return telemetry if index == 1 else None
 
         results = NocSimulator.run_batch(
             graph,
-            [BatchPoint(injection_rate)],
+            [
+                BatchPoint(LEAD_POINT_RATE, seed=config.seed + 1),
+                BatchPoint(injection_rate),
+            ],
             config=config,
             traffic=traffic,
             faults=faults,
-            engine="vectorized",
+            engine=BATCH_ENGINES[mode],
             on_point=grab,
-            telemetry=None if telemetry is None else lambda index, point: telemetry,
+            telemetry=None if telemetry is None else observe,
         )
-        return captured["network"], results[0]
+        return captured["network"], results[1]
     simulator = NocSimulator(
         graph, config, injection_rate=injection_rate, traffic=traffic, faults=faults
     )

@@ -5,7 +5,7 @@ with a deterministically sampled single-link fault — is committed as a
 JSON fixture under ``tests/goldens/``: the complete simulation result
 (latency summaries, throughput counters, packet accounting) plus the raw
 per-packet latency histogram.  Every simulation mode (legacy, vectorized,
-batched — the ``sim_mode`` fixture of ``tests/conftest.py``)
+batched, batched-legacy — the ``sim_mode`` fixture of ``tests/conftest.py``)
 must reproduce each fixture **exactly**; any change to RNG consumption,
 allocation order, routing, phase accounting or statistics shows up as a
 diff against the goldens, not as a silent drift.

@@ -1,7 +1,7 @@
 """Unit tests of the batched multi-point machinery and its reset seams.
 
 The cross-engine equivalence of the batched path is covered by the
-``fast_sim_mode`` grids (``test_noc_engine.py``, ``test_noc_invariants.py``),
+``equivalent_sim_mode`` grids (``test_noc_engine.py``, ``test_noc_invariants.py``),
 the golden traces and the hypothesis properties; this module pins the
 component contracts underneath: network/endpoint/router/channel reset,
 ``NocSimulator.run_batch`` semantics and the :class:`BatchEngine`

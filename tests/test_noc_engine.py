@@ -5,11 +5,13 @@ optimisations: under a fixed seed they produce
 bit-identical :class:`SimulationResult`s to the legacy dense loop, across
 arrangements, injection rates and traffic patterns, while actually
 skipping idle work (which the engine's instrumentation counters expose).
-The mode grid lives in ``tests/conftest.py`` (``fast_sim_mode``), so a
+The mode grid lives in ``tests/conftest.py`` (``equivalent_sim_mode``), so a
 new engine joins every equivalence class here with one fixture edit.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -57,16 +59,16 @@ def _result(kind, count, rate, traffic, engine, config=FAST_CONFIG, faults=None)
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("kind,count,rate,traffic", EQUIVALENCE_GRID)
-    def test_bit_identical_results(self, kind, count, rate, traffic, fast_sim_mode):
+    def test_bit_identical_results(self, kind, count, rate, traffic, equivalent_sim_mode):
         _, legacy = _run(kind, count, rate, traffic, "legacy")
-        _, fast = _run(kind, count, rate, traffic, fast_sim_mode)
+        _, fast = _run(kind, count, rate, traffic, equivalent_sim_mode)
         # Frozen dataclasses compare field by field, nested statistics
         # included — this is the bit-identical contract of the engines.
         assert legacy == fast
 
-    def test_identical_across_repeated_runs(self, fast_sim_mode):
-        _, first = _run("hexamesh", 7, 0.1, "uniform", fast_sim_mode)
-        _, second = _run("hexamesh", 7, 0.1, "uniform", fast_sim_mode)
+    def test_identical_across_repeated_runs(self, equivalent_sim_mode):
+        _, first = _run("hexamesh", 7, 0.1, "uniform", equivalent_sim_mode)
+        _, second = _run("hexamesh", 7, 0.1, "uniform", equivalent_sim_mode)
         assert first == second
 
     def test_engine_name_registry_is_stable(self):
@@ -94,17 +96,17 @@ class TestEngineEquivalence:
         other = NocSimulator(graph, other_config, injection_rate=0.2).run()
         assert base != other
 
-    def test_zero_drain_equivalence(self, fast_sim_mode):
+    def test_zero_drain_equivalence(self, equivalent_sim_mode):
         config = SimulationConfig(
             warmup_cycles=60, measurement_cycles=120, drain_cycles=0
         )
         _, legacy = _run("grid", 9, 0.3, "uniform", "legacy", config)
-        _, fast = _run("grid", 9, 0.3, "uniform", fast_sim_mode, config)
+        _, fast = _run("grid", 9, 0.3, "uniform", equivalent_sim_mode, config)
         assert legacy == fast
 
-    def test_zero_injection_equivalence(self, fast_sim_mode):
+    def test_zero_injection_equivalence(self, equivalent_sim_mode):
         _, legacy = _run("grid", 9, 0.0, "uniform", "legacy")
-        _, fast = _run("grid", 9, 0.0, "uniform", fast_sim_mode)
+        _, fast = _run("grid", 9, 0.0, "uniform", equivalent_sim_mode)
         # Latency statistics are all-NaN with no measured packets (and
         # NaN != NaN), so compare the discrete fields directly.
         assert legacy.throughput == fast.throughput
@@ -113,10 +115,10 @@ class TestEngineEquivalence:
         assert legacy.measured_packets_ejected == fast.measured_packets_ejected == 0
         assert legacy.packet_latency.is_empty and fast.packet_latency.is_empty
 
-    def test_final_network_state_matches_legacy(self, fast_sim_mode):
+    def test_final_network_state_matches_legacy(self, equivalent_sim_mode):
         """Beyond the result summary: the networks end bit-identical too."""
         legacy_net, _ = _run("hexamesh", 7, 0.3, "uniform", "legacy")
-        fast_net, _ = _run("hexamesh", 7, 0.3, "uniform", fast_sim_mode)
+        fast_net, _ = _run("hexamesh", 7, 0.3, "uniform", equivalent_sim_mode)
         assert [r.buffered_flits for r in legacy_net.routers] == [
             r.buffered_flits for r in fast_net.routers
         ]
@@ -135,6 +137,33 @@ class TestEngineEquivalence:
         fast_net.verify_flit_conservation()
 
 
+class TestStagedEngineEquivalence:
+    """Staged-pipeline configs run the legacy loop whatever mode is asked.
+
+    Only the legacy loop steps the staged router, so every engine request
+    under ``router_pipeline="staged"`` resolves to it: each mode must then
+    reproduce the staged legacy run, results and final network alike.
+    """
+
+    STAGED_CONFIG = replace(FAST_CONFIG, router_pipeline="staged")
+
+    @pytest.mark.parametrize(
+        "kind,count", [("grid", 9), ("brickwall", 9), ("honeycomb", 7), ("hexamesh", 7)]
+    )
+    def test_bit_identical_results_staged(self, kind, count, equivalent_sim_mode):
+        legacy_net, legacy = _run(
+            kind, count, 0.3, "uniform", "legacy", self.STAGED_CONFIG
+        )
+        fast_net, fast = _run(
+            kind, count, 0.3, "uniform", equivalent_sim_mode, self.STAGED_CONFIG
+        )
+        assert legacy == fast
+        assert [r.forwarded_flits for r in legacy_net.routers] == [
+            r.forwarded_flits for r in fast_net.routers
+        ]
+        fast_net.verify_flit_conservation()
+
+
 class TestFaultedEngineEquivalence:
     """The bit-identical contract must also hold on degraded topologies."""
 
@@ -143,28 +172,28 @@ class TestFaultedEngineEquivalence:
         [("grid", 9), ("brickwall", 9), ("honeycomb", 7), ("hexamesh", 7)],
     )
     def test_bit_identical_results_under_faults(
-        self, kind, count, fault_scenario, fast_sim_mode
+        self, kind, count, fault_scenario, equivalent_sim_mode
     ):
         graph = make_arrangement(kind, count).graph
         faults = _representative_faults(graph, fault_scenario)
         _, legacy = _run(kind, count, 0.3, "uniform", "legacy", faults=faults)
-        _, fast = _run(kind, count, 0.3, "uniform", fast_sim_mode, faults=faults)
+        _, fast = _run(kind, count, 0.3, "uniform", equivalent_sim_mode, faults=faults)
         assert legacy == fast
         assert legacy.measured_packets_ejected > 0
 
     @pytest.mark.parametrize("traffic", ["uniform", "tornado"])
-    def test_faulted_traffic_variants_match_legacy(self, traffic, fast_sim_mode):
+    def test_faulted_traffic_variants_match_legacy(self, traffic, equivalent_sim_mode):
         graph = make_arrangement("hexamesh", 7).graph
         faults = _representative_faults(graph, "single-link")
         _, legacy = _run("hexamesh", 7, 0.5, traffic, "legacy", faults=faults)
-        _, fast = _run("hexamesh", 7, 0.5, traffic, fast_sim_mode, faults=faults)
+        _, fast = _run("hexamesh", 7, 0.5, traffic, equivalent_sim_mode, faults=faults)
         assert legacy == fast
 
-    def test_faulted_final_network_state_matches_legacy(self, fast_sim_mode):
+    def test_faulted_final_network_state_matches_legacy(self, equivalent_sim_mode):
         graph = make_arrangement("grid", 9).graph
         faults = _representative_faults(graph, "single-router")
         legacy_net, _ = _run("grid", 9, 0.3, "uniform", "legacy", faults=faults)
-        fast_net, _ = _run("grid", 9, 0.3, "uniform", fast_sim_mode, faults=faults)
+        fast_net, _ = _run("grid", 9, 0.3, "uniform", equivalent_sim_mode, faults=faults)
         assert [r.buffered_flits for r in legacy_net.routers] == [
             r.buffered_flits for r in fast_net.routers
         ]

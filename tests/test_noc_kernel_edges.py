@@ -58,13 +58,13 @@ def _run(graph, config, rate, mode, *, faults=None):
 class TestEmptyGenerationSchedule:
     """Zero injection rate: the kernel's cycle loop has no work at all."""
 
-    def test_zero_rate_is_bit_identical_and_silent(self, fast_sim_mode):
+    def test_zero_rate_is_bit_identical_and_silent(self, equivalent_sim_mode):
         config = SimulationConfig(
             warmup_cycles=50, measurement_cycles=100, drain_cycles=200, seed=11
         )
         graph = make_arrangement("hexamesh", 7).graph
         legacy = _run(graph, config, 0.0, "legacy")
-        fast = _run(graph, config, 0.0, fast_sim_mode)
+        fast = _run(graph, config, 0.0, equivalent_sim_mode)
         assert fast == legacy
         result, latencies, created = fast
         assert created == 0
@@ -74,14 +74,14 @@ class TestEmptyGenerationSchedule:
         # same early exit right at the measurement boundary.
         assert result["cycles_simulated"] == legacy[0]["cycles_simulated"]
 
-    def test_zero_rate_packet_size_two(self, fast_sim_mode):
+    def test_zero_rate_packet_size_two(self, equivalent_sim_mode):
         """Multi-flit configs disable the fused injection path; still silent."""
         config = SimulationConfig(
             warmup_cycles=40, measurement_cycles=80, drain_cycles=160,
             packet_size_flits=2, seed=5,
         )
         graph = make_arrangement("grid", 4).graph
-        assert _run(graph, config, 0.0, fast_sim_mode) == _run(
+        assert _run(graph, config, 0.0, equivalent_sim_mode) == _run(
             graph, config, 0.0, "legacy"
         )
 
@@ -90,23 +90,23 @@ class TestTwoRouterTopology:
     """The minimum topology: one link, ejection-heavy traffic."""
 
     @pytest.mark.parametrize("rate", [0.05, 0.5, 1.0])
-    def test_two_router_grid_matches_legacy(self, fast_sim_mode, rate):
+    def test_two_router_grid_matches_legacy(self, equivalent_sim_mode, rate):
         config = SimulationConfig(
             warmup_cycles=50, measurement_cycles=120, drain_cycles=300, seed=3
         )
         graph = make_arrangement("grid", 2).graph
         legacy = _run(graph, config, rate, "legacy")
-        assert _run(graph, config, rate, fast_sim_mode) == legacy
+        assert _run(graph, config, rate, equivalent_sim_mode) == legacy
         assert legacy[0]["measured_packets_ejected"] > 0
 
-    def test_two_router_single_vc(self, fast_sim_mode):
+    def test_two_router_single_vc(self, equivalent_sim_mode):
         """One VC folds the adaptive and escape classes into one channel."""
         config = SimulationConfig(
             num_virtual_channels=1,
             warmup_cycles=40, measurement_cycles=100, drain_cycles=250, seed=9,
         )
         graph = make_arrangement("grid", 2).graph
-        assert _run(graph, config, 0.3, fast_sim_mode) == _run(
+        assert _run(graph, config, 0.3, equivalent_sim_mode) == _run(
             graph, config, 0.3, "legacy"
         )
 
@@ -115,24 +115,24 @@ class TestAllVcsOccupiedBackpressure:
     """Saturation with shallow buffers: every VC occupied, credits scarce."""
 
     @pytest.mark.parametrize("depth", [1, 2])
-    def test_saturated_shallow_buffers_match_legacy(self, fast_sim_mode, depth):
+    def test_saturated_shallow_buffers_match_legacy(self, equivalent_sim_mode, depth):
         config = SimulationConfig(
             buffer_depth_flits=depth,
             warmup_cycles=40, measurement_cycles=100, drain_cycles=400, seed=13,
         )
         graph = make_arrangement("hexamesh", 7).graph
         legacy = _run(graph, config, 1.0, "legacy")
-        assert _run(graph, config, 1.0, fast_sim_mode) == legacy
+        assert _run(graph, config, 1.0, equivalent_sim_mode) == legacy
         assert legacy[0]["measured_packets_ejected"] > 0
 
-    def test_impatient_escape_under_backpressure(self, fast_sim_mode):
+    def test_impatient_escape_under_backpressure(self, equivalent_sim_mode):
         """A one-cycle escape patience forces constant escape-path traffic."""
         config = SimulationConfig(
             buffer_depth_flits=2, escape_patience_cycles=1,
             warmup_cycles=40, measurement_cycles=80, drain_cycles=300, seed=21,
         )
         graph = make_arrangement("brickwall", 9).graph
-        assert _run(graph, config, 1.0, fast_sim_mode) == _run(
+        assert _run(graph, config, 1.0, equivalent_sim_mode) == _run(
             graph, config, 1.0, "legacy"
         )
 
@@ -142,7 +142,7 @@ class TestFaultedTopologies:
 
     @pytest.mark.parametrize("link_faults,router_faults", [(2, 0), (1, 1)])
     def test_degraded_hexamesh_matches_legacy(
-        self, fast_sim_mode, link_faults, router_faults
+        self, equivalent_sim_mode, link_faults, router_faults
     ):
         config = SimulationConfig(
             warmup_cycles=50, measurement_cycles=120, drain_cycles=300, seed=17
@@ -155,10 +155,10 @@ class TestFaultedTopologies:
             seed=41,
         )
         legacy = _run(graph, config, 0.2, "legacy", faults=faults)
-        assert _run(graph, config, 0.2, fast_sim_mode, faults=faults) == legacy
+        assert _run(graph, config, 0.2, equivalent_sim_mode, faults=faults) == legacy
         assert legacy[0]["measured_packets_ejected"] > 0
 
-    def test_faulted_backpressure_combination(self, fast_sim_mode):
+    def test_faulted_backpressure_combination(self, equivalent_sim_mode):
         """Faults and saturation together: the hardest arbitration regime."""
         config = SimulationConfig(
             buffer_depth_flits=2,
@@ -166,7 +166,7 @@ class TestFaultedTopologies:
         )
         graph = make_arrangement("hexamesh", 7).graph
         faults = sample_survivable_faults(graph, num_link_faults=1, seed=53)
-        assert _run(graph, config, 1.0, fast_sim_mode, faults=faults) == _run(
+        assert _run(graph, config, 1.0, equivalent_sim_mode, faults=faults) == _run(
             graph, config, 1.0, "legacy", faults=faults
         )
 

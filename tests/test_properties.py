@@ -330,7 +330,7 @@ class TestEngineEquivalenceProperties:
     small arrangements, injection rates, VC counts and seeds, comparing
     the full per-packet latency *histograms* (not just the summary
     statistics) against the legacy reference.  The mode is drawn from the
-    shared ``FAST_SIM_MODES`` registry of ``tests/conftest.py``, so a new
+    shared ``FAST_SIM_MODES`` registry of ``tests/sim_modes.py``, so a new
     engine joins this property automatically.
     """
 

@@ -5,7 +5,7 @@ series are *bit-identical artifacts* across every simulation mode under
 a fixed seed — a far sharper correctness check than comparing final
 latency histograms, because a single mis-ordered grant or a one-cycle
 drift anywhere in a run shows up as a differing event tuple.  Every mode
-in ``FAST_SIM_MODES`` (including the batched path) is compared against
+in ``EQUIVALENT_SIM_MODES`` (including both batched paths) is compared against
 the legacy dense loop, across load regimes that exercise the scalar and
 vectorized kernel paths, multi-flit packets and early-exit padding.
 """
@@ -42,12 +42,12 @@ def _assert_equal_observation(reference, observed):
 
 
 class TestTraceEquivalence:
-    def test_moderate_load(self, small_hexamesh, fast_sim_config, fast_sim_mode):
+    def test_moderate_load(self, small_hexamesh, fast_sim_config, equivalent_sim_mode):
         reference = _observed(small_hexamesh.graph, fast_sim_config, "legacy")
-        observed = _observed(small_hexamesh.graph, fast_sim_config, fast_sim_mode)
+        observed = _observed(small_hexamesh.graph, fast_sim_config, equivalent_sim_mode)
         _assert_equal_observation(reference, observed)
 
-    def test_overload(self, small_hexamesh, fast_sim_config, fast_sim_mode):
+    def test_overload(self, small_hexamesh, fast_sim_config, equivalent_sim_mode):
         # Saturation drives the kernel onto its vectorized VA/SA paths
         # (batch sizes above the scalar cutoffs) and fills the ejection
         # backlog, so the deferred eject events matter here.
@@ -55,11 +55,11 @@ class TestTraceEquivalence:
             small_hexamesh.graph, fast_sim_config, "legacy", injection_rate=0.6
         )
         observed = _observed(
-            small_hexamesh.graph, fast_sim_config, fast_sim_mode, injection_rate=0.6
+            small_hexamesh.graph, fast_sim_config, equivalent_sim_mode, injection_rate=0.6
         )
         _assert_equal_observation(reference, observed)
 
-    def test_multi_flit_packets(self, small_hexamesh, fast_sim_mode):
+    def test_multi_flit_packets(self, small_hexamesh, equivalent_sim_mode):
         # Multi-flit packets leave the kernel's fused fast-inject path,
         # so the endpoint probe seam records the inject events instead.
         config = SimulationConfig(
@@ -72,12 +72,12 @@ class TestTraceEquivalence:
             small_hexamesh.graph, config, "legacy", injection_rate=0.1
         )
         observed = _observed(
-            small_hexamesh.graph, config, fast_sim_mode, injection_rate=0.1
+            small_hexamesh.graph, config, equivalent_sim_mode, injection_rate=0.1
         )
         _assert_equal_observation(reference, observed)
 
     def test_near_idle_early_exit_padding(
-        self, medium_hexamesh, fast_sim_config, fast_sim_mode
+        self, medium_hexamesh, fast_sim_config, equivalent_sim_mode
     ):
         # At near-idle load the engines exit the drain phase early; the
         # collectors must pad their series to the configured horizon
@@ -86,7 +86,7 @@ class TestTraceEquivalence:
             medium_hexamesh.graph, fast_sim_config, "legacy", injection_rate=0.01
         )
         observed = _observed(
-            medium_hexamesh.graph, fast_sim_config, fast_sim_mode, injection_rate=0.01
+            medium_hexamesh.graph, fast_sim_config, equivalent_sim_mode, injection_rate=0.01
         )
         _assert_equal_observation(reference, observed)
         session, _ = observed
@@ -98,7 +98,7 @@ class TestTraceEquivalence:
         assert session.metrics.total_cycles == total
         assert session.metrics.cycles_recorded == total
 
-    def test_staged_pipeline(self, small_hexamesh, fast_sim_config, fast_sim_mode):
+    def test_staged_pipeline(self, small_hexamesh, fast_sim_config, equivalent_sim_mode):
         # The explicit RC/VA/SA pipeline changes every grant timestamp,
         # so its event streams must still agree bit-for-bit across modes
         # (each compared against the staged legacy reference).
@@ -106,7 +106,7 @@ class TestTraceEquivalence:
 
         config = replace(fast_sim_config, router_pipeline="staged")
         reference = _observed(small_hexamesh.graph, config, "legacy")
-        observed = _observed(small_hexamesh.graph, config, fast_sim_mode)
+        observed = _observed(small_hexamesh.graph, config, equivalent_sim_mode)
         _assert_equal_observation(reference, observed)
 
     def test_observation_does_not_change_results(
