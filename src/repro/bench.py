@@ -521,6 +521,7 @@ def run_bench(
         if engine not in ENGINE_NAMES:
             raise ValueError(f"unknown engine {engine!r}; available: {ENGINE_NAMES}")
 
+    load_start = _load_average()
     scenario_reports = []
     for name in selected:
         scenario = by_name[name]
@@ -584,7 +585,14 @@ def run_bench(
         "created_unix": int(time.time()),
         "engines": list(engines),
         "provenance": build_manifest(
-            extra={"quick": quick, "repeat": repeat, "scenarios": list(selected)}
+            extra={
+                "quick": quick,
+                "repeat": repeat,
+                "scenarios": list(selected),
+                "cpu_count": os.cpu_count(),
+                "loadavg_start": load_start,
+                "loadavg_end": _load_average(),
+            }
         ),
         "scenarios": scenario_reports,
     }
@@ -621,6 +629,32 @@ def load_report(path: str) -> dict[str, Any]:
             f"baseline {path!r} must be a JSON object, got {type(report).__name__}"
         )
     return report
+
+
+def _load_average() -> list[float] | None:
+    """The 1/5/15-minute load average, or ``None`` where the OS has none."""
+    try:
+        return [round(value, 2) for value in os.getloadavg()]
+    except (AttributeError, OSError):
+        return None
+
+
+def format_machine(report: dict[str, Any]) -> str:
+    """One line naming the CPU count and load average a report ran under.
+
+    A floor that trips on a loaded or small machine shows up as such.
+    """
+    provenance = report.get("provenance", {})
+
+    def load(key: str) -> str:
+        values = provenance.get(key)
+        return "/".join(f"{value:.2f}" for value in values) if values else "n/a"
+
+    return (
+        f"machine: {provenance.get('cpu_count', 'n/a')} CPUs, load average "
+        f"(1/5/15 min) {load('loadavg_start')} at start, "
+        f"{load('loadavg_end')} at end"
+    )
 
 
 def format_report_table(report: dict[str, Any]) -> str:

@@ -1126,6 +1126,7 @@ def _command_bench(args: argparse.Namespace) -> int:
     bench.write_report(report, output)
     print(f"wrote {output}")
     print(bench.format_report_table(report))
+    print(bench.format_machine(report))
     if args.write_baseline:
         baseline = bench.make_baseline(
             report,
@@ -1148,6 +1149,7 @@ def _command_bench(args: argparse.Namespace) -> int:
         if problems:
             for problem in problems:
                 print(f"PERF REGRESSION: {problem}", file=sys.stderr)
+            print(f"PERF REGRESSION {bench.format_machine(report)}", file=sys.stderr)
             return 1
         print(f"perf gate passed against {args.check_against}")
     return 0

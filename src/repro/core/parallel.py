@@ -18,7 +18,7 @@ Invariants the rest of the code base relies on:
   the full candidate + simulation configuration, so a cache hit returns
   exactly what the simulation would have produced; the cycle-loop engines
   (vectorized, legacy) are bit-identical by construction (see
-  :mod:`repro.noc.engine` and :mod:`repro.noc.vec_engine`), so cached
+  :mod:`repro.noc.engine` and :mod:`repro.noc.array_kernel`), so cached
   results are shared between them — and between processes, runs and
   machines sharing one store directory.
 * **Order preservation.**  Workers may finish out of order (unordered

@@ -24,7 +24,9 @@ simulator with the same modelled structure:
   graph,
 * :mod:`repro.noc.engine` — the legacy dense cycle loop, the
   object-model reference engine,
-* :mod:`repro.noc.vec_engine` — the default numpy array-kernel engines,
+* :mod:`repro.noc.array_kernel` — the default numpy array kernel, one
+  flat state over the whole network, behind both the per-point and the
+  batched simulator paths,
 * :mod:`repro.noc.simulator` — the simulation driver with warm-up,
   measurement and drain phases,
 * :mod:`repro.noc.sweep` — injection-rate sweeps, zero-load latency and
@@ -43,7 +45,6 @@ from repro.noc.flit import Flit, Packet
 from repro.noc.network import Network
 from repro.noc.routing import RoutingTables
 from repro.noc.simulator import BatchPoint, NocSimulator, SimulationResult
-from repro.noc.vec_engine import BatchEngine, VectorizedEngine
 from repro.noc.stats import LatencyStatistics, ThroughputStatistics
 from repro.noc.sweep import (
     InjectionSweepResult,
@@ -64,7 +65,6 @@ from repro.noc.traffic import (
 )
 
 __all__ = [
-    "BatchEngine",
     "BatchPoint",
     "BitComplementTraffic",
     "DegradedTopology",
@@ -88,7 +88,6 @@ __all__ = [
     "TornadoTraffic",
     "TrafficPattern",
     "UniformRandomTraffic",
-    "VectorizedEngine",
     "apply_faults",
     "available_traffic_patterns",
     "make_traffic_pattern",

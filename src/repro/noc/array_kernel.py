@@ -1,16 +1,17 @@
 """Array-native numpy cycle kernel over the flat ``(router, port, vc)`` state.
 
-This module is the successor of the per-router masked *scans* of
-:mod:`repro.noc.vec_engine`: instead of iterating the set bits of each
-router's occupancy mask in Python, every pipeline stage of every router is
+The kernel behind ``NocSimulator.run(engine="vectorized")`` and
+``NocSimulator.run_batch``: every pipeline stage of every router is
 expressed as masked ndarray operations over the **whole network at once**
-(and, through the slot axis, over every point of a batched sweep group —
-the state arrays are shaped ``(slots, router-port-vc)``).
+— one state array per quantity, indexed by the flat coordinate — instead
+of a per-router Python scan.  Batched sweep points reuse one kernel (and
+its static tables) one after another; each point starts from
+:meth:`ArrayKernel.refresh` after a ``Network.reset``.
 
-The flat coordinate is unchanged: ``g = base[router] + port * V + vc``,
-ascending ``g`` being exactly the (port-major, vc-minor) order of the
-object model's dense scans.  What is new is that *flits* become integer
-ids into a side registry (parallel numpy attribute arrays plus the live
+The flat coordinate is ``g = base[router] + port * V + vc``, ascending
+``g`` being exactly the (port-major, vc-minor) order of the object
+model's dense scans.  *Flits* are integer ids into a side registry
+(parallel numpy attribute arrays plus the live
 :class:`~repro.noc.flit.Flit` objects), so buffer pushes/pops, credit and
 occupancy updates, switch allocation and channel traversal are all plain
 array arithmetic; Python objects are only touched at the endpoint
@@ -104,13 +105,48 @@ _ENUM_MAX = 512
 _VA_TAIL_MAX = 64
 
 
+def build_route_tab(
+    network: Network, escape_only_all: bool
+) -> list[list[tuple[tuple[int, ...], int, bool]]]:
+    """Precompute ``route_tab[router][destination_endpoint]`` for a network.
+
+    Each entry is the ``(minimal output ports, escape port, escape_only)``
+    triple of ``Router._compute_route`` with ejection folded in (local
+    destinations route straight to their endpoint port and are never
+    escape-only), mirroring the object model exactly so written-back state
+    stays bit-identical.  The table depends only on the topology, the port
+    layout and the VC count, so one kernel serves every point of a batch.
+    """
+    routing = network.routing
+    endpoint_to_router = network.endpoint_to_router
+    num_endpoints = network.num_endpoints
+    route_tab: list[list[tuple[tuple[int, ...], int, bool]]] = []
+    for r, router in enumerate(network.routers):
+        row: list[tuple[tuple[int, ...], int, bool]] = []
+        for destination in range(num_endpoints):
+            destination_router = endpoint_to_router[destination]
+            if destination_router == r:
+                ejection_port = router.port_of_endpoint(destination)
+                row.append(((ejection_port,), ejection_port, False))
+            else:
+                minimal = tuple(
+                    router.port_of_neighbor(neighbor)
+                    for neighbor in routing.minimal_next_hops(r, destination_router)
+                )
+                escape_port = router.port_of_neighbor(
+                    routing.escape_next_hop(r, destination_router)
+                )
+                row.append((minimal, escape_port, escape_only_all))
+        route_tab.append(row)
+    return route_tab
+
+
 class _KernelEmitter:
     """Drop-in ``send`` target for an endpoint's injection channel.
 
     Registers the outgoing flit in the kernel's flit registry and appends
     the ``(channel index, flit id)`` event straight into the kernel's
-    per-cycle delivery buckets — the array counterpart of
-    :class:`repro.noc.vec_engine._BatchEmitter`.
+    per-cycle delivery buckets.
     """
 
     __slots__ = ("kernel", "index", "latency", "endpoint")
@@ -137,28 +173,23 @@ class _KernelEmitter:
 
 
 class ArrayKernel:
-    """The array-native cycle kernel for one network (and many slots).
+    """The array-native cycle kernel for one network.
 
     One kernel owns the static layout (flat coordinates, routing tables,
-    channel maps — shared by every slot and every sweep point) plus
-    ``slots`` independent copies of the mutable router state, stacked
-    along the leading axis of every state array.  A slot is one batch
-    point of a same-structure candidate group: :class:`VectorizedEngine`
-    uses a single slot, the batched engine gives each point of a group
-    its own slot so the whole sweep's router state lives in one
-    ``(points, router-port-vc)`` ndarray.
+    channel maps) and one copy of the mutable router state, and runs any
+    number of points over its network one after another
+    (:meth:`run_point`); every point is **bit-identical** to a fresh
+    legacy run under the same configuration and seed.
 
-    The caller owns the endpoint side: it attaches the kernel's emitters
-    (:meth:`endpoint_emitters`) to the endpoints before running and
-    restores the real channels afterwards.
+    Construction attaches the kernel's registering emitters to the
+    endpoints in place of their injection channels.  The caller must
+    treat the network as owned by the kernel until :meth:`close` (or the
+    end of a ``with`` block) re-attaches the real channels.
     """
 
-    def __init__(self, network: Network, config: SimulationConfig, *, slots: int = 1) -> None:
-        if slots < 1:
-            raise ValueError(f"slots must be >= 1, got {slots}")
+    def __init__(self, network: Network, config: SimulationConfig) -> None:
         self._network = network
         self._config = config
-        self._slots = slots
 
         V = config.num_virtual_channels
         self._V = V
@@ -201,21 +232,20 @@ class ArrayKernel:
         self._build_route_arrays()
         self._build_channel_arrays()
 
-        # -- mutable state, one row per slot -------------------------------
-        depth = self._depth
-        self._q = np.full((slots, G, depth), -1, dtype=np.int64)
-        self._qhead = np.zeros((slots, G), dtype=np.int64)
-        self._qlen = np.zeros((slots, G), dtype=np.int64)
-        self._state = np.full((slots, G), _IDLE, dtype=np.int8)
-        self._credits = np.full((slots, G), depth, dtype=np.int64)
-        self._owner_in = np.full((slots, G), -1, dtype=np.int64)
-        self._out_g = np.full((slots, G), -1, dtype=np.int64)
-        self._wait = np.zeros((slots, G), dtype=np.int64)
-        self._route_key = np.full((slots, G), -1, dtype=np.int64)
-        self._rcounts = np.zeros((slots, R), dtype=np.int64)
-        self._sa_ptr = np.zeros((slots, R), dtype=np.int64)
-        self._fwd = np.zeros((slots, R), dtype=np.int64)
-        #: Cross-cycle no-grant cache.  ``_blocked[slot, g]`` records that
+        # -- mutable state (values set by refresh) -------------------------
+        self._q = np.full((G, self._depth), -1, dtype=np.int64)
+        self._qhead = np.zeros(G, dtype=np.int64)
+        self._qlen = np.zeros(G, dtype=np.int64)
+        self._state = np.zeros(G, dtype=np.int8)
+        self._credits = np.zeros(G, dtype=np.int64)
+        self._owner_in = np.zeros(G, dtype=np.int64)
+        self._out_g = np.zeros(G, dtype=np.int64)
+        self._wait = np.zeros(G, dtype=np.int64)
+        self._route_key = np.zeros(G, dtype=np.int64)
+        self._rcounts = np.zeros(R, dtype=np.int64)
+        self._sa_ptr = np.zeros(R, dtype=np.int64)
+        self._fwd = np.zeros(R, dtype=np.int64)
+        #: Cross-cycle no-grant cache.  ``_blocked[g]`` records that
         #: candidate ``g`` last finalised as no-grant on the adaptive /
         #: escape path.  The adaptive path fails exactly when every
         #: adaptive VC of every valid minimal port is owned (credits do
@@ -228,22 +258,16 @@ class ArrayKernel:
         #: adaptive VC on port ``p`` un-blocks precisely the candidates
         #: with ``p`` among their minimal ports, a freed escape VC
         #: precisely the candidates escaping through ``p``.
-        self._blocked = np.zeros((slots, G), dtype=bool)
-        self._freed_adapt = np.zeros((slots, P), dtype=bool)
-        self._freed_esc = np.zeros((slots, P), dtype=bool)
+        self._blocked = np.zeros(G, dtype=bool)
+        self._freed_adapt = np.zeros(P, dtype=bool)
+        self._freed_esc = np.zeros(P, dtype=bool)
         #: Free adaptive VCs per (non-ejection) port, kept in lockstep
         #: with ``_owner_in`` by the allocation and forwarding stages.  A
         #: positive count is exactly the adaptive path's success test, so
         #: the expensive per-VC credit compute only runs for candidates
         #: that are guaranteed to claim.  Ejection-port entries are not
         #: maintained (nothing routes adaptively through them).
-        self._free_adapt = np.full(
-            (slots, P), len(self._adaptive), dtype=np.int64
-        )
-        #: Routes of packets loaded mid-flight whose head flit already left
-        #: this router (no buffered flit to recover the destination from);
-        #: only :meth:`load_from_network` populates it.
-        self._route_override: dict[int, tuple[tuple[int, ...], int | None, bool]] = {}
+        self._free_adapt = np.zeros(P, dtype=np.int64)
 
         # The routers' own buffer deques (cleared in place by
         # ``Router.reset``), captured once so materialisation can refill
@@ -270,7 +294,7 @@ class ArrayKernel:
         self._pending: dict[int, list] = {}
 
         # Scratch buffers for the scatter-based arbitration (values are
-        # only read back from slots written in the same pass, so none of
+        # only read back from entries written in the same pass, so none of
         # them need per-cycle clearing; ``_scratch_rr`` is restored to its
         # sentinel after every use).
         self._scratch_g = np.zeros(G, dtype=np.int64)
@@ -293,11 +317,11 @@ class ArrayKernel:
         #: guaranteed no-op, so the cycle loop skips the call entirely.
         self._inj_credits: list[int] = [0] * len(self._endpoints)
 
-        #: Exact per-slot set of occupied coordinates (``qlen > 0``),
-        #: maintained by the delivery and forwarding stages.  Near-idle
-        #: cycles enumerate allocation / switch candidates from it
-        #: directly instead of running two O(G) masked scans.
-        self._occ: list[set[int]] = [set() for _ in range(slots)]
+        #: Exact set of occupied coordinates (``qlen > 0``), maintained
+        #: by the delivery and forwarding stages.  Near-idle cycles
+        #: enumerate allocation / switch candidates from it directly
+        #: instead of running two O(G) masked scans.
+        self._occ: set[int] = set()
 
         #: Per-run telemetry observers, set by :meth:`run_point` when a
         #: session is passed and always cleared again in its ``finally``.
@@ -305,6 +329,16 @@ class ArrayKernel:
         #: telemetry pays nothing beyond the checks.
         self._mc = None
         self._tracer = None
+
+        # The emitters replace the real injection channels, whose indices
+        # and latencies the channel tables above have already recorded.
+        self._real_out_channels = [endpoint.out_channel for endpoint in self._endpoints]
+        for endpoint in self._endpoints:
+            endpoint_id = endpoint.endpoint_id
+            endpoint.attach_output_channel(
+                _KernelEmitter(self, *self._injection_index[endpoint_id], endpoint_id)
+            )
+        self._closed = False
 
     # -- static tables ------------------------------------------------------
 
@@ -318,8 +352,6 @@ class ArrayKernel:
         escape-only flag — together exactly ``Router._compute_route`` with
         ejection folded in.
         """
-        from repro.noc.vec_engine import build_route_tab
-
         network = self._network
         V = self._V
         route_tab = build_route_tab(network, self._escape_only_all)
@@ -482,111 +514,40 @@ class ArrayKernel:
         self._f_tail[sl] = [flit.is_tail for flit in buf]
         buf.clear()
 
-    # -- slot lifecycle -----------------------------------------------------
+    # -- lifecycle ----------------------------------------------------------
 
-    def endpoint_emitters(self) -> list[_KernelEmitter]:
-        """One registering emitter per endpoint (ascending endpoint id)."""
-        return [
-            _KernelEmitter(
-                self,
-                *self._injection_index[endpoint.endpoint_id],
-                endpoint.endpoint_id,
-            )
-            for endpoint in self._endpoints
-        ]
+    def close(self) -> None:
+        """Re-attach the real endpoint channels; the network is free again."""
+        if self._closed:
+            return
+        for endpoint, channel in zip(self._endpoints, self._real_out_channels):
+            endpoint.attach_output_channel(channel)
+        self._closed = True
 
-    def refresh(self, slot: int) -> None:
-        """Reset one slot to the pristine just-reset state (cheap array fills)."""
-        self._qlen[slot] = 0
-        self._qhead[slot] = 0
-        self._state[slot] = _IDLE
-        self._credits[slot] = self._depth
-        self._owner_in[slot] = -1
-        self._out_g[slot] = -1
-        self._wait[slot] = 0
-        self._route_key[slot] = -1
-        self._rcounts[slot] = 0
-        self._sa_ptr[slot] = 0
-        self._fwd[slot] = 0
-        self._blocked[slot] = False
-        self._freed_adapt[slot] = False
-        self._freed_esc[slot] = False
-        self._free_adapt[slot] = len(self._adaptive)
-        self._occ[slot].clear()
-        self._route_override.clear()
+    def __enter__(self) -> "ArrayKernel":
+        return self
 
-    def load_from_network(self, slot: int) -> None:
-        """Capture the routers' and channels' current state into a slot.
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
-        Handles arbitrary (also mid-run) network state: buffered flits are
-        registered in the flit registry, in-flight channel payloads move
-        into the delivery buckets with their true arrival cycles, and
-        routes whose destination is no longer recoverable from a buffered
-        head flit are kept aside for materialisation.
-        """
-        self.refresh(slot)
-        V, E = self._V, self._E
-        q = self._q[slot]
-        qlen = self._qlen[slot]
-        state = self._state[slot]
-        credits = self._credits[slot]
-        owner_in = self._owner_in[slot]
-        out_g = self._out_g[slot]
-        wait = self._wait[slot]
-        route_key = self._route_key[slot]
-        for r, router in enumerate(self._routers):
-            snapshot = router.export_state()
-            base_r = int(self._base[r])
-            for idx in range(router.num_ports * V):
-                g = base_r + idx
-                buffer = snapshot.buffers[idx]
-                for k, flit in enumerate(buffer):
-                    q[g, k] = self._register_flit(flit)
-                qlen[g] = len(buffer)
-                state[g] = snapshot.states[idx]
-                credits[g] = snapshot.credits[idx]
-                owner = snapshot.owners[idx]
-                if owner is not None:
-                    owner_in[g] = base_r + owner[0] * V + owner[1]
-                out_port = snapshot.out_ports[idx]
-                if out_port is not None:
-                    out_g[g] = base_r + out_port * V + snapshot.out_vcs[idx]
-                wait[g] = snapshot.alloc_wait_cycles[idx]
-                if snapshot.states[idx] != _IDLE:
-                    if buffer:
-                        route_key[g] = r * E + buffer[0].destination
-                    else:
-                        self._route_override[g] = (
-                            snapshot.minimal_ports[idx],
-                            snapshot.escape_ports[idx],
-                            snapshot.escape_only[idx],
-                        )
-            self._rcounts[slot, r] = snapshot.buffered_flits
-            self._sa_ptr[slot, r] = snapshot.sa_port_pointer
-            self._fwd[slot, r] = snapshot.forwarded_flits
-        # In-flight channel payloads become pre-timed bucket events.
-        for index, channel in enumerate(self._channels):
-            if not channel.in_flight:
-                continue
-            flit_channel = self._chan_kind[index] in (_CK_ROUTER_FLIT, _CK_ENDPOINT_FLIT)
-            for arrival, payload in channel.pending():
-                event = self._register_flit(payload) if flit_channel else int(payload)
-                bucket = self._pending.get(int(arrival))
-                entry = (index, event)
-                if bucket is None:
-                    self._pending[int(arrival)] = [entry]
-                else:
-                    bucket.append(entry)
-            channel.clear()
-        self._flush_registry()
-        self._occ[slot].update(np.nonzero(qlen > 0)[0].tolist())
-        if len(self._adaptive):
-            self._free_adapt[slot] = (
-                owner_in.reshape(self._P, V)[:, self._adaptive] < 0
-            ).sum(axis=1)
-
-    def reset_events(self) -> None:
-        """Clear the registry, the event buckets and the ejection backlog."""
+    def refresh(self) -> None:
+        """Reset the flat state to that of a just-reset network (array fills)."""
+        self._qlen[:] = 0
+        self._qhead[:] = 0
+        self._state[:] = _IDLE
+        self._credits[:] = self._depth
+        self._owner_in[:] = -1
+        self._out_g[:] = -1
+        self._wait[:] = 0
+        self._route_key[:] = -1
+        self._rcounts[:] = 0
+        self._sa_ptr[:] = 0
+        self._fwd[:] = 0
+        self._blocked[:] = False
+        self._freed_adapt[:] = False
+        self._freed_esc[:] = False
+        self._free_adapt[:] = len(self._adaptive)
+        self._occ.clear()
         self._flit_objs.clear()
         self._reg_buf.clear()
         self._pending.clear()
@@ -629,14 +590,16 @@ class ArrayKernel:
     # -- the cycle loop -----------------------------------------------------
 
     def run_point(
-        self, slot: int, stats: EngineStats, telemetry=None
-    ) -> PhaseSnapshots:
-        """Advance one slot to the end of the drain phase (or early exit).
+        self, *, seed: int, injection_rate: float, telemetry=None
+    ) -> tuple[PhaseSnapshots, EngineStats]:
+        """Reset the network to ``(seed, injection_rate)`` and run one point.
 
-        The caller must have attached the kernel's endpoint emitters and
-        prepared the slot (:meth:`refresh` after a ``Network.reset``, or
-        :meth:`load_from_network`).  The final state is materialised back
-        into the object model unconditionally, also when the loop raises.
+        The network is reset in place and the flat state refreshed, then
+        the cycle loop runs to the end of the drain phase (or an early
+        exit once the network has drained).  The final state is
+        materialised back into the object model unconditionally, also
+        when the loop raises, so the network can be inspected until the
+        next point.
 
         ``telemetry`` is an optional
         :class:`~repro.telemetry.TelemetrySession`.  Its collector and
@@ -646,7 +609,12 @@ class ArrayKernel:
         recorded series and event streams are bit-identical to the
         object engines' under the same configuration and seed.
         """
+        if self._closed:
+            raise RuntimeError("ArrayKernel is closed; create a new one")
         network = self._network
+        network.reset(seed=seed, injection_rate=injection_rate)
+        self.refresh()
+        stats = EngineStats()
         config = self._config
         warmup_end, measure_end, total_cycles = _phase_bounds(config)
         packet_size = config.packet_size_flits
@@ -698,15 +666,9 @@ class ArrayKernel:
         reg_buf = self._reg_buf
         inj_credits = self._inj_credits
         inj_credits[:] = [endpoint.injection_credits() for endpoint in endpoints]
-        # Endpoints with work already queued (a mid-run network handed to
-        # the engine) must inject from cycle 0, like the legacy stepper.
-        active: set[int] = {
-            endpoint.endpoint_id
-            for endpoint in endpoints
-            if any(endpoint.source_buffers())
-        }
+        active: set[int] = set()
         pending = self._pending
-        total_buffered = int(self._qlen[slot].sum())
+        total_buffered = 0
         if self._rt_minp_list is None:
             self._build_scalar_tabs()
         router_of_g_list = self._router_of_g_list
@@ -734,7 +696,7 @@ class ArrayKernel:
                     t_stage = perf_counter()
                 bucket = pending.pop(cycle, None)
                 if bucket is not None:
-                    total_buffered += self._deliver(slot, bucket, cycle, stats)
+                    total_buffered += self._deliver(bucket, cycle, stats)
                 if prof is not None:
                     t_now = perf_counter()
                     prof.add("deliver", t_now - t_stage)
@@ -824,7 +786,7 @@ class ArrayKernel:
                     t_stage = t_now
 
                 if total_buffered:
-                    occ = self._occ[slot]
+                    occ = self._occ
                     small = len(occ) <= _SCALAR_MAX
                     if small:
                         occ_list = sorted(occ)
@@ -833,7 +795,7 @@ class ArrayKernel:
                         )
                     else:
                         stats.router_steps += int(
-                            np.count_nonzero(self._rcounts[slot])
+                            np.count_nonzero(self._rcounts)
                         )
                         if len(occ) <= _ENUM_MAX:
                             occ_arr = np.fromiter(occ, np.int64, len(occ))
@@ -841,21 +803,17 @@ class ArrayKernel:
                         else:
                             occ_arr = None
                     if small:
-                        self._allocate_small(slot, cycle, occ_list)
+                        self._allocate_small(cycle, occ_list)
                     else:
-                        self._allocate(slot, cycle, occ_arr)
+                        self._allocate(cycle, occ_arr)
                     if prof is not None:
                         t_now = perf_counter()
                         prof.add("va", t_now - t_stage)
                         t_stage = t_now
                     if small:
-                        total_buffered -= self._switch_small(
-                            slot, cycle, occ_list
-                        )
+                        total_buffered -= self._switch_small(cycle, occ_list)
                     else:
-                        total_buffered -= self._switch_and_forward(
-                            slot, cycle, occ_arr
-                        )
+                        total_buffered -= self._switch_and_forward(cycle, occ_arr)
                     if prof is not None:
                         prof.add("sa", perf_counter() - t_stage)
 
@@ -866,7 +824,7 @@ class ArrayKernel:
                     metrics.record_cycle(
                         buffered=total_buffered,
                         vc_stalls=int(
-                            np.count_nonzero(self._state[slot] == _VC_ALLOC)
+                            np.count_nonzero(self._state == _VC_ALLOC)
                         ),
                         backlog=backlog,
                     )
@@ -878,7 +836,7 @@ class ArrayKernel:
             if prof is not None:
                 t_stage = perf_counter()
             self._flush_ejections()
-            self._materialize(slot)
+            self._materialize()
             if prof is not None:
                 prof.add("flush", perf_counter() - t_stage)
             self._mc = None
@@ -890,17 +848,17 @@ class ArrayKernel:
         if metrics is not None:
             metrics.finalize(total_cycles)
 
-        if int(self._qlen[slot].sum()) != total_buffered:
+        if int(self._qlen.sum()) != total_buffered:
             raise RuntimeError(
                 "array kernel lost track of buffered flits: tables hold "
-                f"{int(self._qlen[slot].sum())}, counters say {total_buffered}"
+                f"{int(self._qlen.sum())}, counters say {total_buffered}"
             )
         if len(self._adaptive):
             expected = (
-                self._owner_in[slot].reshape(self._P, self._V)[:, self._adaptive]
+                self._owner_in.reshape(self._P, self._V)[:, self._adaptive]
                 < 0
             ).sum(axis=1)
-            drift = ~self._is_ej_port & (self._free_adapt[slot] != expected)
+            drift = ~self._is_ej_port & (self._free_adapt != expected)
             if drift.any():
                 raise RuntimeError(
                     "array kernel free-VC counters drifted from the owner "
@@ -918,11 +876,11 @@ class ArrayKernel:
             injected_after_measurement=injected_after,
             total_cycles=total_cycles,
             cycles_executed=stats.cycles_executed,
-        )
+        ), stats
 
     # -- stage: channel deliveries -----------------------------------------
 
-    def _deliver(self, slot: int, bucket: list, now: int, stats: EngineStats) -> int:
+    def _deliver(self, bucket: list, now: int, stats: EngineStats) -> int:
         """Apply one cycle's channel arrivals to the flat state.
 
         Returns the change in buffered-flit count.  Delivery order within
@@ -944,9 +902,7 @@ class ArrayKernel:
                 scalar_chans.append(chan)
                 scalar_payloads.append(payload)
         if not array_chans and len(scalar_chans) <= _SCALAR_MAX:
-            return self._deliver_scalar(
-                slot, scalar_chans, scalar_payloads, now, stats
-            )
+            return self._deliver_scalar(scalar_chans, scalar_payloads, now, stats)
         if scalar_chans:
             array_chans.append(np.asarray(scalar_chans, dtype=np.int64))
             array_payloads.append(np.asarray(scalar_payloads, dtype=np.int64))
@@ -966,14 +922,14 @@ class ArrayKernel:
         if mask.any():
             fids = payloads[mask]
             g = in_base[mask] + self._f_vc[fids]
-            qlen = self._qlen[slot]
+            qlen = self._qlen
             if np.any(qlen[g] >= self._depth):
                 self._raise_overflow(g[qlen[g] >= self._depth][0])
-            self._q[slot][g, (self._qhead[slot][g] + qlen[g]) % self._depth] = fids
+            self._q[g, (self._qhead[g] + qlen[g]) % self._depth] = fids
             qlen[g] += 1
-            self._occ[slot].update(g.tolist())
+            self._occ.update(g.tolist())
             self._f_arrival[fids] = now
-            np.add.at(self._rcounts[slot], self._router_of_g[g], 1)
+            np.add.at(self._rcounts, self._router_of_g[g], 1)
             delta += len(g)
             if self._mc is not None:
                 self._mc._link += len(g)
@@ -985,7 +941,7 @@ class ArrayKernel:
         mask = kinds == _CK_ROUTER_CREDIT
         if mask.any():
             gc = in_base[mask] + payloads[mask]
-            self._credits[slot][gc] += 1
+            self._credits[gc] += 1
 
         mask = kinds == _CK_ENDPOINT_FLIT
         if mask.any():
@@ -1011,7 +967,6 @@ class ArrayKernel:
 
     def _deliver_scalar(
         self,
-        slot: int,
         chans: list[int],
         payloads: list[int],
         now: int,
@@ -1028,12 +983,12 @@ class ArrayKernel:
         chan_kind = self._chan_kind_list
         chan_in_base = self._chan_in_base_list
         router_of_g = self._router_of_g_list
-        qlen = self._qlen[slot]
-        qhead = self._qhead[slot]
-        q = self._q[slot]
-        credits = self._credits[slot]
-        rcounts = self._rcounts[slot]
-        occ = self._occ[slot]
+        qlen = self._qlen
+        qhead = self._qhead
+        q = self._q
+        credits = self._credits
+        rcounts = self._rcounts
+        occ = self._occ
         depth = self._depth
         delta = 0
         mc = self._mc
@@ -1104,7 +1059,7 @@ class ArrayKernel:
                 g % V,
             )
 
-    def _trace_vc_grants(self, slot: int, pairs, now: int) -> None:
+    def _trace_vc_grants(self, pairs, now: int) -> None:
         """Emit one ``vc_grant`` event per granted ``(input g, output g)``.
 
         Called at grant time, before the switch stage pops the head flit,
@@ -1112,8 +1067,8 @@ class ArrayKernel:
         ``_grant_output`` hook reports.
         """
         tracer = self._tracer
-        q = self._q[slot]
-        qhead = self._qhead[slot]
+        q = self._q
+        qhead = self._qhead
         V = self._V
         flit_objs = self._flit_objs
         router_of_g = self._router_of_g_list
@@ -1134,11 +1089,11 @@ class ArrayKernel:
     # -- stage: route computation + VC allocation ---------------------------
 
     def _allocate(
-        self, slot: int, now: int, occ_arr: np.ndarray | None = None
+        self, now: int, occ_arr: np.ndarray | None = None
     ) -> None:
-        state = self._state[slot]
+        state = self._state
         if occ_arr is None:
-            qlen = self._qlen[slot]
+            qlen = self._qlen
             cand = np.nonzero((qlen > 0) & (state != _ACTIVE))[0]
         else:
             # Pre-enumerated occupied coordinates (sorted): a gather over
@@ -1146,26 +1101,26 @@ class ArrayKernel:
             cand = occ_arr[state[occ_arr] != _ACTIVE]
         if not len(cand):
             return
-        q = self._q[slot]
+        q = self._q
 
         # Route computation, hoisted: it is pure per-candidate state (no
         # cross-VC effects), so computing it for every idle candidate up
         # front is equivalent to the object model's lazy in-scan compute.
         idle = cand[state[cand] == _IDLE]
         if len(idle):
-            heads = q[idle, self._qhead[slot][idle]]
+            heads = q[idle, self._qhead[idle]]
             if not np.all(self._f_head[heads]):
                 self._raise_nonhead(int(idle[~self._f_head[heads]][0]))
-            self._route_key[slot][idle] = (
+            self._route_key[idle] = (
                 self._router_of_g[idle] * self._E + self._f_dest[heads]
             )
-            self._wait[slot][idle] = 0
+            self._wait[idle] = 0
             # A fresh head means a fresh decision: drop any stale no-grant
             # verdict left behind by the VC's previous packet.
-            self._blocked[slot][idle] = False
+            self._blocked[idle] = False
             state[idle] = _VC_ALLOC
 
-        self._va_rounds(slot, cand, now)
+        self._va_rounds(cand, now)
 
     def _raise_nonhead(self, g: int) -> None:
         r = int(self._router_of_g[g])
@@ -1176,7 +1131,7 @@ class ArrayKernel:
             "packet framing is broken"
         )
 
-    def _allocate_small(self, slot: int, now: int, occ: list[int]) -> None:
+    def _allocate_small(self, now: int, occ: list[int]) -> None:
         """Scalar candidate enumeration for a near-idle cycle.
 
         ``occ`` is the sorted occupied-coordinate list; filtering it by
@@ -1185,15 +1140,15 @@ class ArrayKernel:
         itself still funnels through :meth:`_va_rounds`, which takes its
         own scalar path at these sizes.
         """
-        state = self._state[slot]
+        state = self._state
         cand = [g for g in occ if state[g] != _ACTIVE]
         if not cand:
             return
-        qhead = self._qhead[slot]
-        q = self._q[slot]
-        route_key = self._route_key[slot]
-        wait = self._wait[slot]
-        blocked = self._blocked[slot]
+        qhead = self._qhead
+        q = self._q
+        route_key = self._route_key
+        wait = self._wait
+        blocked = self._blocked
         router_of_g = self._router_of_g_list
         E = self._E
         for g in cand:
@@ -1205,17 +1160,17 @@ class ArrayKernel:
                 wait[g] = 0
                 blocked[g] = False
                 state[g] = _VC_ALLOC
-        self._va_rounds(slot, np.asarray(cand, dtype=np.int64), now)
+        self._va_rounds(np.asarray(cand, dtype=np.int64), now)
 
-    def _switch_small(self, slot: int, now: int, occ: list[int]) -> int:
+    def _switch_small(self, now: int, occ: list[int]) -> int:
         """Scalar switch-candidate enumeration for a near-idle cycle."""
-        state = self._state[slot]
+        state = self._state
         act = [g for g in occ if state[g] == _ACTIVE]
         if not act:
             return 0
-        return self._switch_scalar(slot, act, now)
+        return self._switch_scalar(act, now)
 
-    def _va_rounds(self, slot: int, unresolved: np.ndarray, now: int) -> None:
+    def _va_rounds(self, unresolved: np.ndarray, now: int) -> None:
         """Sequential-order VC allocation (see module docstring).
 
         Ejection-bound candidates split off first: ejection-port VCs are
@@ -1227,21 +1182,21 @@ class ArrayKernel:
         per queued claimant).  The remaining candidates run the
         round-based fixpoint.
         """
-        key = self._route_key[slot][unresolved]
+        key = self._route_key[unresolved]
         ejb = self._rt_ej[key]
         is_ej = ejb >= 0
         if is_ej.any():
-            self._resolve_ejection(slot, unresolved[is_ej], ejb[is_ej], now)
+            self._resolve_ejection(unresolved[is_ej], ejb[is_ej], now)
             unresolved = unresolved[~is_ej]
             key = key[~is_ej]
         if not len(unresolved):
             return
 
-        owner_in = self._owner_in[slot]
-        credits = self._credits[slot]
-        out_g = self._out_g[slot]
-        state = self._state[slot]
-        wait = self._wait[slot]
+        owner_in = self._owner_in
+        credits = self._credits
+        out_g = self._out_g
+        state = self._state
+        wait = self._wait
         adaptive = self._adaptive
         A = len(adaptive)
         patience = self._patience
@@ -1253,10 +1208,10 @@ class ArrayKernel:
         # since (adaptive on a minimal port, or their escape VC) or the
         # patience crossing (``wait == patience``) happens; they then only
         # tick their counter, without re-entering the rounds.
-        blocked = self._blocked[slot]
-        freed_adapt = self._freed_adapt[slot]
-        freed_esc = self._freed_esc[slot]
-        free_adapt = self._free_adapt[slot]
+        blocked = self._blocked
+        freed_adapt = self._freed_adapt
+        freed_esc = self._freed_esc
+        free_adapt = self._free_adapt
         b = blocked[unresolved]
         if b.any():
             mpp = self._rt_minp_port[key]
@@ -1275,7 +1230,7 @@ class ArrayKernel:
         blocked[unresolved] = False
 
         if len(unresolved) <= _SCALAR_MAX:
-            self._va_scalar(slot, unresolved, key, now)
+            self._va_scalar(unresolved, key, now)
             return
 
         # Per-candidate static route data, gathered once and narrowed with
@@ -1343,7 +1298,7 @@ class ArrayKernel:
             # Conflict resolution over fresh and held claims together:
             # lowest-g claimant wins each output VC.  The reversed scatter
             # leaves the first (lowest-u) claimant's row in the scratch
-            # slot; only slots written this round are read back, so the
+            # entry; only entries written this round are read back, so the
             # scratch needs no clearing.
             claimants = np.nonzero(claim >= 0)[0]
             win_mask = np.zeros(len(u), dtype=bool)
@@ -1387,9 +1342,7 @@ class ArrayKernel:
                 if tick.any():
                     wait[g[tick]] += 1
                 if self._tracer is not None:
-                    self._trace_vc_grants(
-                        slot, zip(g.tolist(), cg.tolist()), now
-                    )
+                    self._trace_vc_grants(zip(g.tolist(), cg.tolist()), now)
 
             kidx = np.nonzero(~(no_grant | final_win))[0]
             kept = len(kidx)
@@ -1401,9 +1354,9 @@ class ArrayKernel:
                 # Finish the tail sequentially: the survivors only need
                 # the ascending-g sequential allocation the remaining
                 # rounds would converge to (route keys are untouched
-                # during allocation, so the slot table still holds them).
+                # during allocation, so the route-key table still holds them).
                 uk = u.take(kidx)
-                self._va_scalar(slot, uk, self._route_key[slot][uk], now)
+                self._va_scalar(uk, self._route_key[uk], now)
                 return
             fresh = np.zeros(len(u), dtype=bool)
             fresh[lose_rows] = True
@@ -1418,7 +1371,7 @@ class ArrayKernel:
             escape_path = escape_path.take(kidx)
 
     def _va_scalar(
-        self, slot: int, unresolved: np.ndarray, key: np.ndarray, now: int
+        self, unresolved: np.ndarray, key: np.ndarray, now: int
     ) -> None:
         """Scalar sequential allocation for a handful of candidates.
 
@@ -1430,13 +1383,13 @@ class ArrayKernel:
         """
         if self._rt_minp_list is None:
             self._build_scalar_tabs()
-        owner_in = self._owner_in[slot]
-        credits = self._credits[slot]
-        out_g = self._out_g[slot]
-        state = self._state[slot]
-        wait = self._wait[slot]
-        blocked = self._blocked[slot]
-        free_adapt = self._free_adapt[slot]
+        owner_in = self._owner_in
+        credits = self._credits
+        out_g = self._out_g
+        state = self._state
+        wait = self._wait
+        blocked = self._blocked
+        free_adapt = self._free_adapt
         adaptive = self._adaptive_list
         V = self._V
         escape_vc = self._escape_vc
@@ -1484,13 +1437,13 @@ class ArrayKernel:
                 if escape_path:
                     wait[g] += 1
                 if self._tracer is not None:
-                    self._trace_vc_grants(slot, ((g, claim),), now)
+                    self._trace_vc_grants(((g, claim),), now)
             else:
                 wait[g] += 1
                 blocked[g] = True
 
     def _resolve_ejection(
-        self, slot: int, e_u: np.ndarray, ejb: np.ndarray, now: int
+        self, e_u: np.ndarray, ejb: np.ndarray, now: int
     ) -> None:
         """Grant ejection-port claims exactly as the sequential scan would.
 
@@ -1501,12 +1454,12 @@ class ArrayKernel:
         the object model's ejection branch, never tick a patience
         counter).
         """
-        owner_in = self._owner_in[slot]
+        owner_in = self._owner_in
         if len(e_u) <= _SCALAR_MAX:
             # Scalar path: ascending g with immediate owner updates is
             # the sequential scan itself.
-            out_g = self._out_g[slot]
-            state = self._state[slot]
+            out_g = self._out_g
+            state = self._state
             V = self._V
             for g, ejp in zip(e_u.tolist(), ejb.tolist()):
                 for cg in range(ejp, ejp + V):
@@ -1515,7 +1468,7 @@ class ArrayKernel:
                         out_g[g] = cg
                         state[g] = _ACTIVE
                         if self._tracer is not None:
-                            self._trace_vc_grants(slot, ((g, cg),), now)
+                            self._trace_vc_grants(((g, cg),), now)
                         break
             return
         order = np.argsort(ejb, kind="stable")
@@ -1534,23 +1487,23 @@ class ArrayKernel:
         g = u_s[has]
         cg = ejb_s[has] + sel[has]
         owner_in[cg] = g
-        self._out_g[slot][g] = cg
-        self._state[slot][g] = _ACTIVE
+        self._out_g[g] = cg
+        self._state[g] = _ACTIVE
         if self._tracer is not None:
-            self._trace_vc_grants(slot, zip(g.tolist(), cg.tolist()), now)
+            self._trace_vc_grants(zip(g.tolist(), cg.tolist()), now)
 
     # -- stage: switch allocation + forwarding ------------------------------
 
     def _switch_and_forward(
-        self, slot: int, now: int, occ_arr: np.ndarray | None = None
+        self, now: int, occ_arr: np.ndarray | None = None
     ) -> int:
         """Nominate, arbitrate and forward; returns forwarded-flit count."""
-        qlen = self._qlen[slot]
-        state = self._state[slot]
-        qhead = self._qhead[slot]
-        q = self._q[slot]
-        out_g_arr = self._out_g[slot]
-        credits = self._credits[slot]
+        qlen = self._qlen
+        state = self._state
+        qhead = self._qhead
+        q = self._q
+        out_g_arr = self._out_g
+        credits = self._credits
         V = self._V
 
         if occ_arr is None:
@@ -1560,7 +1513,7 @@ class ArrayKernel:
         if not len(act):
             return 0
         if len(act) <= _SCALAR_MAX:
-            return self._switch_scalar(slot, act.tolist(), now)
+            return self._switch_scalar(act.tolist(), now)
         heads = q[act, qhead[act]]
         ready = self._f_arrival[heads] + self._router_latency <= now
         og = out_g_arr[act]
@@ -1574,11 +1527,11 @@ class ArrayKernel:
         # post-filter set is worth a second scalar check (the scalar
         # path's own eligibility re-test passes by construction).
         if len(act) <= _SCALAR_MAX:
-            return self._switch_scalar(slot, act.tolist(), now)
+            return self._switch_scalar(act.tolist(), now)
 
         # Per-port nomination: first eligible VC in ascending order (the
         # object model's VC pointers never advance).  The reversed scatter
-        # leaves the lowest eligible g per port in the scratch slot.
+        # leaves the lowest eligible g per port in the scratch entry.
         ports = act // V
         pbuf = self._scratch_nom
         pmask = self._scratch_port_mask
@@ -1594,7 +1547,7 @@ class ArrayKernel:
         # output ports of different routers never collide).
         routers = self._router_of_port[uports]
         local = uports - self._port_base[routers]
-        sa = self._sa_ptr[slot]
+        sa = self._sa_ptr
         rr = (local - sa[routers]) % self._nports[routers]
         op_req = out_g_arr[nom] // V
         rrbuf = self._scratch_rr
@@ -1617,12 +1570,12 @@ class ArrayKernel:
         qlen[g] -= 1
         emptied = g[qlen[g] == 0]
         if len(emptied):
-            self._occ[slot].difference_update(emptied.tolist())
+            self._occ.difference_update(emptied.tolist())
         # One grant per router port at most, so a bincount covers both
         # per-router counters in two vector ops instead of two add.at's.
         per_router = np.bincount(self._router_of_g[g], minlength=self._R)
-        self._rcounts[slot] -= per_router
-        self._fwd[slot] += per_router
+        self._rcounts -= per_router
+        self._fwd += per_router
         og = out_g_arr[g]
         op = og // V
         ej = self._is_ej_port[op]
@@ -1658,36 +1611,36 @@ class ArrayKernel:
         if tails.any():
             gt = g[tails]
             freed = og[tails]
-            self._owner_in[slot][freed] = -1
+            self._owner_in[freed] = -1
             fp = op[tails]
             esc_freed = freed % V == self._escape_vc
-            self._freed_esc[slot][fp[esc_freed]] = True
+            self._freed_esc[fp[esc_freed]] = True
             adapt_freed = fp[~esc_freed & ~ej[tails]]
             if len(adapt_freed):
-                self._freed_adapt[slot][adapt_freed] = True
-                self._free_adapt[slot] += np.bincount(
+                self._freed_adapt[adapt_freed] = True
+                self._free_adapt += np.bincount(
                     adapt_freed, minlength=self._P
                 )
             state[gt] = _IDLE
             out_g_arr[gt] = -1
-            self._route_key[slot][gt] = -1
+            self._route_key[gt] = -1
         return len(g)
 
-    def _switch_scalar(self, slot: int, act: list[int], now: int) -> int:
+    def _switch_scalar(self, act: list[int], now: int) -> int:
         """Scalar replay of :meth:`_switch_and_forward` for a few VCs."""
         if self._rt_minp_list is None:
             self._build_scalar_tabs()
         V = self._V
-        qlen = self._qlen[slot]
-        qhead = self._qhead[slot]
-        q = self._q[slot]
-        state = self._state[slot]
-        out_g_arr = self._out_g[slot]
-        credits = self._credits[slot]
+        qlen = self._qlen
+        qhead = self._qhead
+        q = self._q
+        state = self._state
+        out_g_arr = self._out_g
+        credits = self._credits
         f_arrival = self._f_arrival
         router_latency = self._router_latency
         is_ej = self._is_ej_list
-        sa = self._sa_ptr[slot]
+        sa = self._sa_ptr
         router_of_port = self._router_of_port_list
         port_base = self._port_base_list
         nports = self._nports_list
@@ -1737,16 +1690,16 @@ class ArrayKernel:
         out_chan = self._out_chan_list
         credit_chan = self._credit_chan_list
         router_of_g = self._router_of_g_list
-        rcounts = self._rcounts[slot]
-        fwd = self._fwd[slot]
-        owner_in = self._owner_in[slot]
-        freed_adapt = self._freed_adapt[slot]
-        freed_esc = self._freed_esc[slot]
-        free_adapt = self._free_adapt[slot]
-        route_key = self._route_key[slot]
+        rcounts = self._rcounts
+        fwd = self._fwd
+        owner_in = self._owner_in
+        freed_adapt = self._freed_adapt
+        freed_esc = self._freed_esc
+        free_adapt = self._free_adapt
+        route_key = self._route_key
         f_vc = self._f_vc
         f_tail = self._f_tail
-        occ = self._occ[slot]
+        occ = self._occ
         tracer = self._tracer
         for op, (_, g) in best.items():
             fid = int(q[g, qhead[g]])
@@ -1915,8 +1868,8 @@ class ArrayKernel:
         flit.hops = int(self._f_hops[fid])
         return flit
 
-    def _materialize(self, slot: int) -> None:
-        """Write the slot's flat state back into the object model.
+    def _materialize(self) -> None:
+        """Write the flat state back into the object model.
 
         Refills the routers' own buffer deques in place, reconstructs the
         per-VC route fields from the route keys, rebuilds owner tuples,
@@ -1929,19 +1882,19 @@ class ArrayKernel:
         depth = self._depth
         route_tab = self._route_tab
         buffers = self._buffers
-        q = self._q[slot]
-        qhead = self._qhead[slot].tolist()
-        qlen_arr = self._qlen[slot]
-        state_arr = self._state[slot]
-        out_arr = self._out_g[slot]
-        owner_arr = self._owner_in[slot]
+        q = self._q
+        qhead = self._qhead.tolist()
+        qlen_arr = self._qlen
+        state_arr = self._state
+        out_arr = self._out_g
+        owner_arr = self._owner_in
         qlen = qlen_arr.tolist()
         states = state_arr.tolist()
-        credits = self._credits[slot].tolist()
+        credits = self._credits.tolist()
         owner_in = owner_arr.tolist()
         out_gs = out_arr.tolist()
-        waits = self._wait[slot].tolist()
-        keys = self._route_key[slot].tolist()
+        waits = self._wait.tolist()
+        keys = self._route_key.tolist()
         router_of_g = self._router_of_g
         R = self._R
 
@@ -1949,7 +1902,7 @@ class ArrayKernel:
             if deck:
                 deck.clear()
 
-        # Most coordinates of a typical slot are idle with default
+        # Most coordinates of a typical run are idle with default
         # fields, so the per-VC lists are bulk slices / constant fills
         # and only the busy coordinates (grouped by router, in ascending
         # order, consumed by cursor) are patched in.
@@ -1991,13 +1944,7 @@ class ArrayKernel:
             c_occ += occ_counts[r]
 
             for g in route_rows[c_route : c_route + route_counts[r]]:
-                key = keys[g]
-                if key >= 0:
-                    minimal, escape_port, escape_only = route_tab[r][key % E]
-                else:
-                    minimal, escape_port, escape_only = self._route_override.get(
-                        g, ((), None, False)
-                    )
+                minimal, escape_port, escape_only = route_tab[r][keys[g] % E]
                 idx = g - base_r
                 b_minp[idx] = minimal
                 b_escp[idx] = escape_port
@@ -2029,9 +1976,9 @@ class ArrayKernel:
                     alloc_wait_cycles=b_wait,
                     owners=b_owner,
                     credits=b_credits,
-                    sa_port_pointer=int(self._sa_ptr[slot, r]),
+                    sa_port_pointer=int(self._sa_ptr[r]),
                     buffered_flits=buffered,
-                    forwarded_flits=int(self._fwd[slot, r]),
+                    forwarded_flits=int(self._fwd[r]),
                 )
             )
 

@@ -9,7 +9,7 @@ every channel, steps every endpoint (until the drain phase) and steps
 every router, whether or not the component has work to do.
 
 It is the reference of the equivalence test suite: the numpy array
-kernel behind :mod:`repro.noc.vec_engine` must leave the network in
+kernel of :mod:`repro.noc.array_kernel` must leave the network in
 bit-identical state under the same configuration and seed, which the
 suite checks field by field on the final results.  It is also the only
 loop that steps the ``router_pipeline="staged"`` routers, so staged
@@ -28,7 +28,7 @@ from repro.telemetry.session import TelemetrySession, install_probes, uninstall_
 
 #: Canonical names of every cycle-loop engine, in default-preference order.
 #: ``"vectorized"`` is the default numpy array kernel of
-#: :mod:`repro.noc.vec_engine` and ``"legacy"`` the dense object-model
+#: :mod:`repro.noc.array_kernel` and ``"legacy"`` the dense object-model
 #: reference loop of this module.  Every ``engine=`` validation site
 #: (simulator, sweep runner, workload bridge, CLI) imports this tuple so a
 #: new engine only has to be registered once.

@@ -2,11 +2,13 @@
 
 The simulator advances the network one cycle at a time through one of two
 cycle-loop engines — the default *vectorized* numpy array kernel of
-:mod:`repro.noc.vec_engine`, which skips idle work and exits early once
+:mod:`repro.noc.array_kernel`, which skips idle work and exits early once
 the network has drained, and the *legacy* dense object-model loop of
 :mod:`repro.noc.engine`, the reference.  Both are bit-identical under a
-fixed seed.  Statistics follow standard network-on-chip methodology (and
-BookSim2's conventions):
+fixed seed.  :meth:`NocSimulator.run` and :meth:`NocSimulator.run_batch`
+drive the kernel through one function, :func:`_run_on_kernel`.
+Statistics follow standard network-on-chip methodology (and BookSim2's
+conventions):
 
 * packets created during the *warm-up* phase populate the network but are
   not measured,
@@ -36,7 +38,6 @@ from repro.noc.engine import (
 from repro.noc.faults import DegradedTopology, FaultSet
 from repro.noc.network import Network
 from repro.noc.routing import RoutingTables
-from repro.noc.vec_engine import BatchEngine, VectorizedEngine
 from repro.noc.stats import LatencyStatistics, ThroughputStatistics
 from repro.noc.traffic import TrafficPattern, make_traffic_pattern
 from repro.utils.validation import check_fraction, check_in_choices
@@ -176,6 +177,49 @@ def _count_measured_created(network: Network) -> int:
     return measured + network.in_flight_measured_packets()
 
 
+def _point_config(config: SimulationConfig, point: BatchPoint) -> SimulationConfig:
+    """``config`` with the point's seed (unchanged when the point has none)."""
+    if point.seed is None or point.seed == config.seed:
+        return config
+    return replace(config, seed=point.seed)
+
+
+def _run_on_kernel(
+    network: Network,
+    config: SimulationConfig,
+    points: Sequence[BatchPoint],
+    *,
+    telemetry: Callable[[int, BatchPoint], object] | None = None,
+    on_point: Callable[[int, Network, SimulationResult], None] | None = None,
+) -> tuple[list[SimulationResult], EngineStats]:
+    """Run ``points`` in order on ``network`` through one
+    :class:`~repro.noc.array_kernel.ArrayKernel`.
+
+    The body of both vectorized entry points: :meth:`NocSimulator.run`
+    passes its one point, :meth:`NocSimulator.run_batch` the whole batch.
+    Each point resets the network and the kernel state, so results do not
+    depend on what ran before.  Returns the results in point order and
+    the kernel instrumentation of the last point.
+    """
+    # Imported on first use: the kernel module is large, and processes that
+    # never simulate (analytical runs, warm service jobs) should not load it.
+    from repro.noc.array_kernel import ArrayKernel
+
+    results: list[SimulationResult] = []
+    with ArrayKernel(network, config) as kernel:
+        for index, point in enumerate(points):
+            cfg = _point_config(config, point)
+            session = telemetry(index, point) if telemetry is not None else None
+            snapshots, stats = kernel.run_point(
+                seed=cfg.seed, injection_rate=point.injection_rate, telemetry=session
+            )
+            result = collect_results(network, cfg, point.injection_rate, snapshots)
+            results.append(result)
+            if on_point is not None:
+                on_point(index, network, result)
+    return results, stats
+
+
 class NocSimulator:
     """Cycle-accurate simulation of one topology at one injection rate.
 
@@ -231,14 +275,13 @@ class NocSimulator:
             injection_rate=injection_rate,
         )
         self._injection_rate = injection_rate
-        #: Instrumentation of the last vectorized run (``None`` before the
-        #: first run and after legacy runs).
+        #: Instrumentation of the vectorized run (``None`` before the run
+        #: and after a legacy run).
         self.last_engine_stats: EngineStats | None = None
-        #: Name of the engine that actually executed the last :meth:`run`
-        #: (``None`` before the first run).  Differs from the requested
-        #: engine exactly when a staged-pipeline config resolved to
-        #: ``"legacy"`` — provenance consumers must record *this*, never
-        #: the request.
+        #: Name of the engine that actually executed :meth:`run` (``None``
+        #: before the run).  Differs from the requested engine exactly
+        #: when a staged-pipeline config resolved to ``"legacy"`` —
+        #: provenance consumers must record *this*, never the request.
         self.last_engine: str | None = None
 
     @property
@@ -283,11 +326,14 @@ class NocSimulator:
     def run(self, *, engine: str = DEFAULT_ENGINE, telemetry=None) -> SimulationResult:
         """Execute warm-up, measurement and drain, then summarise the statistics.
 
+        A simulator runs once: a second call raises :class:`RuntimeError`
+        (build a new simulator for another run).
+
         Parameters
         ----------
         engine:
             ``"vectorized"`` (default) uses the numpy array kernel of
-            :mod:`repro.noc.vec_engine`; ``"legacy"`` uses the dense
+            :mod:`repro.noc.array_kernel`; ``"legacy"`` uses the dense
             object-model loop of :mod:`repro.noc.engine`.  Both produce
             bit-identical results under a fixed seed — the legacy engine
             remains the reference for the equivalence test suite.
@@ -305,20 +351,25 @@ class NocSimulator:
         single-stage pipeline semantics only.
         """
         engine = self.resolve_engine(engine, self._config)
+        if self.last_engine is not None:
+            raise RuntimeError(
+                "NocSimulator.run is single-use; build a new simulator to run again"
+            )
         self.last_engine = engine
         if engine == "legacy":
-            self.last_engine_stats = None
             snapshots = run_legacy_loop(
                 self._network, self._config, telemetry=telemetry
             )
-        else:
-            vectorized = VectorizedEngine(self._network, self._config)
-            snapshots = vectorized.run(telemetry)
-            self.last_engine_stats = vectorized.stats
-
-        return collect_results(
-            self._network, self._config, self._injection_rate, snapshots
+            return collect_results(
+                self._network, self._config, self._injection_rate, snapshots
+            )
+        (result,), self.last_engine_stats = _run_on_kernel(
+            self._network,
+            self._config,
+            [BatchPoint(self._injection_rate)],
+            telemetry=lambda index, point: telemetry,
         )
+        return result
 
     # -- batched running ----------------------------------------------------------
 
@@ -339,9 +390,8 @@ class NocSimulator:
 
         The batch shares everything the points have in common — the
         (degraded, if ``faults`` is given) topology, the routing tables,
-        and with ``engine="vectorized"`` one reusable network plus the
-        whole flat-state machinery of
-        :class:`~repro.noc.vec_engine.BatchEngine` — while every point
+        and with ``engine="vectorized"`` one reusable network plus one
+        :class:`~repro.noc.array_kernel.ArrayKernel` — while every point
         runs with its own seed, injection process and statistics.  Results
         are returned in point order and are **bit-identical** to per-point
         ``NocSimulator(...).run(engine=...)`` calls with the same
@@ -364,9 +414,9 @@ class NocSimulator:
             Optional fault set; applied **once**, so all points of one
             fault arrangement share its degraded topology.
         engine:
-            ``"vectorized"`` (default) uses the batched flat-state engine;
-            ``"legacy"`` runs the per-point dense loop, which still shares
-            the topology and routing-table build.
+            ``"vectorized"`` (default) runs every point on one array
+            kernel; ``"legacy"`` runs the per-point dense loop, which
+            still shares the topology and routing-table build.
         on_point:
             Optional hook called as ``on_point(index, network, result)``
             after each point, while the network still holds that point's
@@ -382,7 +432,7 @@ class NocSimulator:
         """
         if config is None:
             config = SimulationConfig()
-        # The numpy batch kernel implements single-stage semantics only;
+        # The numpy kernel implements single-stage semantics only;
         # staged-pipeline batches resolve to the per-point legacy loop
         # below, which still shares the (degraded) topology and
         # routing-table build across all points.  Callers recording
@@ -402,15 +452,10 @@ class NocSimulator:
             traffic_pattern = traffic
         routing = RoutingTables(graph)
 
-        def point_config(point: BatchPoint) -> SimulationConfig:
-            if point.seed is None or point.seed == config.seed:
-                return config
-            return replace(config, seed=point.seed)
-
-        results: list[SimulationResult] = []
         if engine == "legacy":
+            results: list[SimulationResult] = []
             for index, point in enumerate(ordered):
-                cfg = point_config(point)
+                cfg = _point_config(config, point)
                 network = Network(
                     graph,
                     cfg,
@@ -431,24 +476,12 @@ class NocSimulator:
         first = ordered[0]
         network = Network(
             graph,
-            point_config(first),
+            _point_config(config, first),
             traffic=traffic_pattern,
             injection_rate=first.injection_rate,
             routing=routing,
         )
-        with BatchEngine(network, config, points=len(ordered)) as batch:
-            for index, point in enumerate(ordered):
-                cfg = point_config(point)
-                session = telemetry(index, point) if telemetry is not None else None
-                snapshots, _ = batch.run_point(
-                    seed=cfg.seed,
-                    injection_rate=point.injection_rate,
-                    telemetry=session,
-                )
-                result = collect_results(
-                    network, cfg, point.injection_rate, snapshots
-                )
-                results.append(result)
-                if on_point is not None:
-                    on_point(index, network, result)
+        results, _ = _run_on_kernel(
+            network, config, ordered, telemetry=telemetry, on_point=on_point
+        )
         return results

@@ -12,16 +12,18 @@ at once.
 The batched modes evaluate the requested point as the *second* point of
 a two-point batch, after a lead point at another rate and seed: batching
 promises bit-identical per-point results, so any state one point leaves
-behind in the shared build shows up as a divergence from the legacy run.
+behind in the shared build — the reused network and, for ``"batched"``,
+the one set of array-kernel state arrays — shows up as a divergence from
+the legacy run.
 """
 
 from __future__ import annotations
 
 from repro.noc.simulator import BatchPoint, NocSimulator
 
-#: The array-kernel modes: the vectorized engine plus the batched
-#: multi-point path (``NocSimulator.run_batch`` with the vectorized batch
-#: engine).  The hypothesis properties sample from these.
+#: The array-kernel modes: one ``NocSimulator.run(engine="vectorized")``
+#: plus the batched multi-point path (``NocSimulator.run_batch``, which
+#: drives the same kernel).  The hypothesis properties sample from these.
 FAST_SIM_MODES: tuple[str, ...] = ("vectorized", "batched")
 
 #: Every way to run the cycle-accurate simulator that must be

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -91,6 +92,18 @@ class TestReportSchema:
         path = tmp_path / "BENCH_test.json"
         bench.write_report(report, str(path))
         assert bench.load_report(str(path)) == json.loads(path.read_text())
+
+    def test_provenance_records_the_machine(self, report):
+        provenance = report["provenance"]
+        assert provenance["cpu_count"] == os.cpu_count()
+        for key in ("loadavg_start", "loadavg_end"):
+            assert len(provenance[key]) == 3
+            assert all(value >= 0 for value in provenance[key])
+        line = bench.format_machine(report)
+        assert line.startswith(f"machine: {os.cpu_count()} CPUs")
+        for key, when in (("loadavg_start", "start"), ("loadavg_end", "end")):
+            values = "/".join(f"{value:.2f}" for value in provenance[key])
+            assert f"{values} at {when}" in line
 
     def test_markdown_table(self, report):
         table = bench.format_report_table(report)
@@ -352,7 +365,9 @@ class TestBenchCli:
             "--output", str(output), "--check-against", str(baseline_path),
         ])
         assert code == 1
-        assert "PERF REGRESSION" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "PERF REGRESSION" in err
+        assert "PERF REGRESSION machine: " in err
 
     @pytest.mark.parametrize("content", ["{not json", '["a", "list"]'])
     def test_cli_malformed_baseline_fails_fast(self, tmp_path, capsys, content):

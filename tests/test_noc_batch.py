@@ -4,7 +4,7 @@ The cross-engine equivalence of the batched path is covered by the
 ``equivalent_sim_mode`` grids (``test_noc_engine.py``, ``test_noc_invariants.py``),
 the golden traces and the hypothesis properties; this module pins the
 component contracts underneath: network/endpoint/router/channel reset,
-``NocSimulator.run_batch`` semantics and the :class:`BatchEngine`
+``NocSimulator.run_batch`` semantics and the :class:`ArrayKernel`
 lifecycle.
 """
 
@@ -13,11 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.arrangements.factory import make_arrangement
+from repro.noc.array_kernel import ArrayKernel
 from repro.noc.channel import Channel
 from repro.noc.config import SimulationConfig
 from repro.noc.network import Network
 from repro.noc.simulator import BatchPoint, NocSimulator
-from repro.noc.vec_engine import BatchEngine
 from repro.resilience import sample_survivable_faults
 
 FAST_CONFIG = SimulationConfig(
@@ -225,22 +225,36 @@ class TestRunBatch:
         network.verify_flit_conservation()
 
 
-class TestBatchEngineLifecycle:
-    def test_closed_engine_rejects_further_points(self):
+class TestArrayKernelLifecycle:
+    def test_closed_kernel_rejects_further_points(self):
         graph = make_arrangement("grid", 4).graph
         network = Network(graph, FAST_CONFIG, injection_rate=0.1)
-        engine = BatchEngine(network, FAST_CONFIG)
-        engine.run_point(seed=1, injection_rate=0.1)
-        engine.close()
+        kernel = ArrayKernel(network, FAST_CONFIG)
+        kernel.run_point(seed=1, injection_rate=0.1)
+        kernel.close()
         with pytest.raises(RuntimeError, match="closed"):
-            engine.run_point(seed=1, injection_rate=0.1)
+            kernel.run_point(seed=1, injection_rate=0.1)
 
     def test_close_is_idempotent_and_restores_channels(self):
         graph = make_arrangement("grid", 4).graph
         network = Network(graph, FAST_CONFIG, injection_rate=0.1)
         originals = [endpoint.out_channel for endpoint in network.endpoints]
-        engine = BatchEngine(network, FAST_CONFIG)
+        kernel = ArrayKernel(network, FAST_CONFIG)
         assert [e.out_channel for e in network.endpoints] != originals
-        engine.close()
-        engine.close()
+        kernel.close()
+        kernel.close()
+        assert [e.out_channel for e in network.endpoints] == originals
+
+    def test_channels_are_restored_when_a_point_raises(self):
+        graph = make_arrangement("grid", 4).graph
+        network = Network(graph, FAST_CONFIG, injection_rate=0.3)
+        originals = [endpoint.out_channel for endpoint in network.endpoints]
+
+        def fail(*args):
+            raise RuntimeError("delivery failed")
+
+        with pytest.raises(RuntimeError, match="delivery failed"):
+            with ArrayKernel(network, FAST_CONFIG) as kernel:
+                kernel._deliver = fail
+                kernel.run_point(seed=1, injection_rate=0.3)
         assert [e.out_channel for e in network.endpoints] == originals

@@ -16,11 +16,11 @@ from dataclasses import replace
 import pytest
 
 from repro.arrangements.factory import make_arrangement
+from repro.noc.array_kernel import ArrayKernel
 from repro.noc.config import SimulationConfig
 from repro.noc.engine import ENGINE_NAMES, PhaseSnapshots, run_legacy_loop
 from repro.noc.network import Network
 from repro.noc.simulator import NocSimulator
-from repro.noc.vec_engine import VectorizedEngine
 
 from sim_modes import simulate_noc
 from fault_scenarios import representative_faults
@@ -73,6 +73,16 @@ class TestEngineEquivalence:
 
     def test_engine_name_registry_is_stable(self):
         assert ENGINE_NAMES == ("vectorized", "legacy")
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_run_is_single_use(self, engine):
+        """A second run would start from the drained network: refuse it."""
+        graph = make_arrangement("hexamesh", 7).graph
+        simulator = NocSimulator(graph, FAST_CONFIG, injection_rate=0.3)
+        simulator.run(engine=engine)
+        for second in ENGINE_NAMES:
+            with pytest.raises(RuntimeError, match="single-use"):
+                simulator.run(engine=second)
 
     def test_invalid_engine_name_rejected(self):
         graph = make_arrangement("grid", 4).graph
@@ -265,7 +275,10 @@ class TestVectorizedFastPath:
         legacy_net = Network(graph, FAST_CONFIG, injection_rate=0.3)
         legacy = run_legacy_loop(legacy_net, FAST_CONFIG)
         vec_net = Network(graph, FAST_CONFIG, injection_rate=0.3)
-        vectorized = VectorizedEngine(vec_net, FAST_CONFIG).run()
+        with ArrayKernel(vec_net, FAST_CONFIG) as kernel:
+            vectorized, _ = kernel.run_point(
+                seed=FAST_CONFIG.seed, injection_rate=0.3
+            )
         assert legacy.ejected_during_measurement == vectorized.ejected_during_measurement
         assert legacy.injected_during_measurement == vectorized.injected_during_measurement
         assert legacy.total_cycles == vectorized.total_cycles
@@ -273,8 +286,9 @@ class TestVectorizedFastPath:
     def test_network_is_steppable_after_vectorized_run(self):
         """import_state must hand back a fully consistent object model."""
         graph = make_arrangement("grid", 9).graph
-        network = Network(graph, FAST_CONFIG, injection_rate=0.3)
-        VectorizedEngine(network, FAST_CONFIG).run()
+        simulator = NocSimulator(graph, FAST_CONFIG, injection_rate=0.3)
+        simulator.run(engine="vectorized")
+        network = simulator.network
         network.verify_flit_conservation()
         # Step the object model a few cycles past the run: a corrupt
         # write-back (bad credits, broken VC states) would trip one of the

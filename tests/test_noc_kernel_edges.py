@@ -1,14 +1,15 @@
 """Edge-case equivalence tests for the array kernel.
 
-The numpy kernel behind the vectorized and batched engines switches
-between scalar and array paths by work-set size (`_SCALAR_MAX`,
-`_ENUM_MAX`, `_VA_TAIL_MAX`), so the regimes most likely to expose a
-path divergence are the extremes: nothing to do at all (empty generation
-schedules), the smallest legal topology (two routers), saturated
-shallow buffers (every VC occupied, escape-patience churn), and degraded
-topologies.  Every case asserts bit-identical results against the legacy
-reference across the full mode grid, complementing the fixed-scenario
-golden fixtures of ``test_golden_traces.py``.
+The numpy array kernel behind ``NocSimulator.run(engine="vectorized")``
+and ``NocSimulator.run_batch`` switches between scalar and array paths
+by work-set size (`_SCALAR_MAX`, `_ENUM_MAX`, `_VA_TAIL_MAX`), so the
+regimes most likely to expose a path divergence are the extremes:
+nothing to do at all (empty generation schedules), the smallest legal
+topology (two routers), saturated shallow buffers (every VC occupied,
+escape-patience churn), and degraded topologies.  Every case asserts
+bit-identical results against the legacy reference across the full mode
+grid, complementing the fixed-scenario golden fixtures of
+``test_golden_traces.py``.
 """
 
 from __future__ import annotations

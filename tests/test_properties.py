@@ -4,7 +4,7 @@ import math
 import string
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.arrangements.factory import available_regularities, make_arrangement
@@ -385,10 +385,10 @@ class TestBatchedSweepProperties:
     For random small arrangements, random point lists (random rates *and*
     random per-point seeds) and random VC counts, evaluating the whole
     list through ``NocSimulator.run_batch`` must reproduce every
-    individual legacy run exactly — results and per-packet latency
-    histograms alike.  This is the property that makes batching a pure
-    amortisation: batch composition and order can never leak between
-    points.
+    individual legacy run exactly — results, per-packet latency
+    histograms and the final router state alike.  This is the property
+    that makes batching a pure amortisation: batch composition and order
+    can never leak between points.
     """
 
     @settings(max_examples=12, deadline=None,
@@ -402,6 +402,13 @@ class TestBatchedSweepProperties:
         vcs=st.sampled_from([2, 4]),
         seed=st.integers(min_value=1, max_value=2**31 - 1),
         derive_seeds=st.booleans(),
+    )
+    # An overload lead point that leaves flits buffered and VCs allocated
+    # when it ends, then a low-rate point that leaves most VCs untouched:
+    # the second point reuses the kernel's state arrays, so anything
+    # ``ArrayKernel.refresh`` fails to reset shows up in its final state.
+    @example(
+        kind="grid", count=9, rates=[1.0, 0.05], vcs=2, seed=7, derive_seeds=True
     )
     def test_batched_points_equal_per_point_legacy(
         self, kind, count, rates, vcs, seed, derive_seeds
@@ -429,6 +436,20 @@ class TestBatchedSweepProperties:
                 if packet.measured
             )
 
+        def router_state(network):
+            return [
+                (
+                    state.states,
+                    state.alloc_wait_cycles,
+                    state.credits,
+                    state.owners,
+                    state.out_ports,
+                    state.out_vcs,
+                    state.sa_port_pointer,
+                )
+                for state in (router.export_state() for router in network.routers)
+            ]
+
         reference = []
         for point in points:
             point_config = (
@@ -439,23 +460,28 @@ class TestBatchedSweepProperties:
             )
             result = simulator.run(engine="legacy")
             simulator.network.verify_flit_conservation()
-            reference.append((result, histogram(simulator.network)))
+            reference.append(
+                (result, histogram(simulator.network), router_state(simulator.network))
+            )
 
         batched_histograms = {}
+        batched_states = {}
 
         def capture(index, network, result):
             network.verify_flit_conservation()
             batched_histograms[index] = histogram(network)
+            batched_states[index] = router_state(network)
 
         batched = NocSimulator.run_batch(
             graph, points, config=config, on_point=capture
         )
 
         assert len(batched) == len(reference)
-        for index, (result, (expected_result, expected_histogram)) in enumerate(
-            zip(batched, reference)
+        for index, (result, (expected_result, expected_histogram, expected_state)) in (
+            enumerate(zip(batched, reference))
         ):
             assert batched_histograms[index] == expected_histogram
+            assert batched_states[index] == expected_state
             assert result.throughput == expected_result.throughput
             assert (
                 result.measured_packets_created
