@@ -1159,8 +1159,14 @@ def _command_serve(args: argparse.Namespace) -> int:
     # Imported lazily: only the service commands should pay for the
     # service package on top of the sweep stack.
     from repro.service import JobManager, ServiceServer
+    from repro.store import StoreSchemaError
 
-    manager = JobManager(cache_dir=args.cache_dir, workers=args.workers)
+    try:
+        # The manager opens the store here, once, for every job it runs.
+        manager = JobManager(cache_dir=args.cache_dir, workers=args.workers)
+    except StoreSchemaError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     server = ServiceServer(manager, args.socket)
     store_note = f" (store: {args.cache_dir})" if args.cache_dir else " (uncached)"
     print(

@@ -345,6 +345,11 @@ class SweepRecord:
     wall_time_s: float | None = field(default=None, compare=False)
 
 
+def _store_key(candidate: SweepCandidate, config_identity: dict[str, Any]) -> str:
+    """The result-store key of ``candidate`` under one config identity dict."""
+    return result_key(candidate.key_dict(), config_identity)
+
+
 def derive_candidate_seed(base_seed: int, candidate: SweepCandidate) -> int:
     """Deterministic per-candidate seed.
 
@@ -583,13 +588,15 @@ class ParallelSweepRunner:
         Number of worker processes; ``1`` evaluates inline (identical
         results, no multiprocessing).
     cache_dir:
-        Optional root directory of the persistent result store
-        (:class:`repro.store.ResultStore`).  Entries are content-addressed
-        by a SHA-256 hash of the candidate + configuration, so re-running
-        an overlapping grid only simulates the new points — across runs,
-        job counts, runners and concurrent processes sharing the
-        directory.  Legacy flat cache directories are migrated in place
-        the first time a store opens them.
+        Optional persistent result store (:class:`repro.store.ResultStore`):
+        its root directory, opened lazily on first use, or an open
+        handle, used as is (a :class:`~repro.service.jobs.JobManager`
+        shares one handle across its jobs).  Entries are
+        content-addressed by a SHA-256 hash of the candidate +
+        configuration, so re-running an overlapping grid only simulates
+        the new points — across runs, job counts, runners and concurrent
+        processes sharing the directory.  Legacy flat cache directories
+        are migrated in place the first time a store opens them.
     engine:
         Cycle-loop engine passed to :meth:`NocSimulator.run_batch`.
     derive_seeds:
@@ -612,7 +619,7 @@ class ParallelSweepRunner:
         config: SimulationConfig | None = None,
         *,
         jobs: int = 1,
-        cache_dir: str | os.PathLike[str] | None = None,
+        cache_dir: str | os.PathLike[str] | ResultStore | None = None,
         engine: str = DEFAULT_ENGINE,
         derive_seeds: bool = True,
         in_flight: InFlightRegistry | None = None,
@@ -621,11 +628,13 @@ class ParallelSweepRunner:
         check_in_choices("engine", engine, ENGINE_NAMES)
         self._config = config if config is not None else SimulationConfig()
         self._jobs = jobs
+        self._store: ResultStore | None = None
+        if isinstance(cache_dir, ResultStore):
+            self._store, cache_dir = cache_dir, cache_dir.root
         self._cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
         self._engine = engine
         self._derive_seeds = derive_seeds
         self._in_flight = in_flight
-        self._store: ResultStore | None = None
 
     @property
     def jobs(self) -> int:
@@ -641,9 +650,10 @@ class ParallelSweepRunner:
     def store(self) -> ResultStore | None:
         """The persistent result store backing this runner, or ``None``.
 
-        Opened lazily on first use so constructing an uncached runner
-        never touches the filesystem; opening validates/migrates the
-        on-disk schema and sweeps orphaned temp files of dead writers.
+        A handle passed as ``cache_dir`` is returned as is.  A path is
+        opened lazily on first use, so constructing a runner never
+        touches the filesystem; opening validates/migrates the on-disk
+        schema and sweeps orphaned temp files of dead writers.
         """
         if self._cache_dir is None:
             return None
@@ -736,7 +746,7 @@ class ParallelSweepRunner:
         reason: keys minted before the knob existed stay valid, staged
         runs key distinctly.
         """
-        return result_key(candidate.key_dict(), config_identity_dict(config))
+        return _store_key(candidate, config_identity_dict(config))
 
     def _cache_load(self, key: str) -> SimulationResult | None:
         store = self.store
@@ -834,13 +844,17 @@ class ParallelSweepRunner:
 
         caching = self._cache_dir is not None
         in_flight = self._in_flight if caching else None
+        # The candidates differ from the base config only in their seed:
+        # render its identity once and key each candidate with its seed
+        # swapped in (``result_key`` sorts keys, so the hash is the one
+        # :meth:`cache_key` computes for ``replace(config, seed=seed)``).
+        identity = config_identity_dict(self._config) if caching else {}
         pending: dict[int, tuple[SweepCandidate, int, str | None]] = {}
         followed: list[tuple[int, SweepCandidate, int, str, _InFlightEntry]] = []
         owned_keys: set[str] = set()
         for index, candidate in enumerate(ordered):
             seed = self.candidate_seed(candidate)
-            config = replace(self._config, seed=seed)
-            key = self.cache_key(candidate, config) if caching else None
+            key = _store_key(candidate, {**identity, "seed": seed}) if caching else None
             cached = self._cache_load(key) if caching else None
             if cached is not None:
                 _finish(index, SweepRecord(candidate, seed, cached, from_cache=True))

@@ -23,8 +23,9 @@ Two evaluation engines are supported:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.arrangements.base import Arrangement, ArrangementKind, Regularity
 from repro.arrangements.factory import make_arrangement
@@ -40,6 +41,9 @@ from repro.perfmodel.throughput import (
     saturation_throughput_fraction,
 )
 from repro.utils.validation import check_in_choices
+
+if TYPE_CHECKING:
+    from repro.store import ResultStore
 
 #: Arrangement families evaluated in Figure 7.
 FIGURE7_KINDS: tuple[ArrangementKind, ...] = (
@@ -352,7 +356,7 @@ def run_figure7(
     simulation_config: SimulationConfig | None = None,
     kinds: Sequence[ArrangementKind | str] = FIGURE7_KINDS,
     jobs: int = 1,
-    cache_dir: str | None = None,
+    cache_dir: str | os.PathLike[str] | ResultStore | None = None,
     noc_engine: str = DEFAULT_ENGINE,
     batch: bool = False,
     progress=None,
@@ -388,7 +392,8 @@ def run_figure7(
         ``jobs=1`` results exactly.  Analytical points always run inline
         (they are orders of magnitude cheaper than the dispatch overhead).
     cache_dir:
-        Optional on-disk cache directory for the cycle-accurate points.
+        Optional result store for the cycle-accurate points: a store
+        root, or an open :class:`~repro.store.ResultStore` handle.
     noc_engine:
         Cycle-loop engine used for the cycle-accurate points (all engines
         are bit-identical, so the figure data never depends on it).

@@ -29,6 +29,7 @@ cycle-loop engine produces bit-identical curves.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,6 +44,7 @@ from repro.core.parallel import (
 from repro.noc.config import SimulationConfig
 from repro.noc.engine import DEFAULT_ENGINE
 from repro.resilience.sampler import derive_fault_seed, sample_survivable_faults
+from repro.store import ResultStore
 from repro.utils.validation import check_fraction, check_in_choices, check_positive_int
 
 #: How a failure count is split into component failures:
@@ -400,7 +402,7 @@ def run_resilience_sweep(
     injection_rates: Sequence[float] | None = None,
     traffic: str = "uniform",
     jobs: int = 1,
-    cache_dir: str | None = None,
+    cache_dir: str | os.PathLike[str] | ResultStore | None = None,
     engine: str = DEFAULT_ENGINE,
     regularity: str | None = None,
     progress: ProgressCallback | None = None,
@@ -410,7 +412,9 @@ def run_resilience_sweep(
 
     Fault sampling is seeded from ``config.seed``, so re-running the
     sweep (any engine, any ``jobs``) reproduces identical curves; with a
-    ``cache_dir`` only new (candidate, config) points are simulated.
+    ``cache_dir`` (a store root or an open
+    :class:`~repro.store.ResultStore` handle) only new (candidate,
+    config) points are simulated.
     Include ``0`` in ``failure_counts`` to anchor the ``*_vs_baseline``
     ratios of the summaries.
 

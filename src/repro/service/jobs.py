@@ -6,11 +6,15 @@ descriptions, runs them on a bounded thread pool (each job drives the
 existing runners, which in turn fan simulation across worker
 *processes*), streams :class:`~repro.telemetry.progress.SweepProgress`
 snapshots per job, and shares one persistent
-:class:`~repro.store.ResultStore` plus one
+:class:`~repro.store.ResultStore` handle plus one
 :class:`~repro.core.parallel.InFlightRegistry` across every job — so a
 warm resubmission is pure store hits (zero simulator invocations) and
 two concurrent jobs that overlap trigger exactly one simulation per
-unique ``result_key``.
+unique ``result_key``.  The manager opens the store once, when it is
+created, and hands that handle to every job's runner: a job pays no
+store open (no meta rewrite, no orphan sweep over every shard), and the
+handle's :class:`~repro.store.StoreCounters` count the hits, misses and
+writes of all the manager's jobs, updated from several job threads.
 
 Cancellation is cooperative: a cancel request raises
 :class:`JobCancelled` out of the job's next progress callback, the
@@ -27,6 +31,7 @@ bytes.
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Iterator, Mapping
@@ -44,6 +49,7 @@ from repro.service.tables import (
     sweep_rows,
     workload_rows,
 )
+from repro.store import ResultStore
 from repro.telemetry.progress import SweepProgressTracker
 
 #: States a job moves through: ``queued`` → ``running`` → one terminal.
@@ -153,6 +159,14 @@ class Job:
 class JobManager:
     """Run exploration jobs asynchronously over one shared result store.
 
+    The manager opens the store at ``cache_dir`` once, here, and every
+    job's runner uses that handle, just as every job shares the
+    manager's :class:`~repro.core.parallel.InFlightRegistry`.  The
+    handle's :attr:`~repro.store.ResultStore.counters` therefore total
+    all jobs, updated from the job threads.  Removing the store
+    directory while the manager runs is safe: the next job misses,
+    re-simulates and republishes.
+
     Parameters
     ----------
     cache_dir:
@@ -168,6 +182,7 @@ class JobManager:
 
     def __init__(self, *, cache_dir: str | None = None, workers: int = 2) -> None:
         self._cache_dir = cache_dir
+        self._store = ResultStore(cache_dir) if cache_dir is not None else None
         self._in_flight = InFlightRegistry()
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, int(workers)), thread_name_prefix="hexamesh-job"
@@ -180,6 +195,11 @@ class JobManager:
     @property
     def cache_dir(self) -> str | None:
         return self._cache_dir
+
+    @property
+    def store(self) -> ResultStore | None:
+        """The one store handle every job of this manager uses, or ``None``."""
+        return self._store
 
     @property
     def in_flight(self) -> InFlightRegistry:
@@ -300,7 +320,7 @@ class JobManager:
         try:
             payload = run_job(
                 spec,
-                cache_dir=self._cache_dir,
+                cache_dir=self._store,
                 progress=progress,
                 in_flight=self._in_flight,
             )
@@ -315,7 +335,7 @@ class JobManager:
 def run_job(
     spec: JobSpec,
     *,
-    cache_dir: str | None = None,
+    cache_dir: str | os.PathLike[str] | ResultStore | None = None,
     progress=None,
     in_flight: InFlightRegistry | None = None,
 ) -> dict[str, Any]:
@@ -329,7 +349,9 @@ def run_job(
     front) and a ``cache`` summary; Figure 7 returns its ``csv`` and
     ``metadata``.  ``progress(done, total, record)`` is called per
     completed candidate; ``in_flight`` dedupes candidates across
-    concurrent jobs.
+    concurrent jobs.  ``cache_dir`` is a store root, opened by the job's
+    runner, or an open :class:`~repro.store.ResultStore` handle, used as
+    is (what :class:`JobManager` passes).
     """
     job_type = spec.job_type
     if job_type == "figure7":

@@ -32,23 +32,33 @@ Layout (``STORE_SCHEMA`` 2)::
   layouts newer than this code are rejected with
   :class:`StoreSchemaError` instead of being misread.
 * **Generation-guarded hygiene.**  Every open bumps a persistent
-  generation counter and temp files embed ``(generation, pid)`` plus a
+  generation counter under an exclusive :func:`fcntl.flock` on
+  ``<root>/store.lock`` (the read, the bump, the write and any migration
+  run under it), so concurrent openers in any process get distinct
+  generations.  Temp files embed ``(generation, pid)`` plus a
   per-process write counter, so two handles or threads of one process
-  never share a temp file.  The
-  orphan sweep removes only temp files from *older* generations whose
-  writer pid is dead: a recycled pid can never alias a live writer's
-  temp file, because any live writer opened the store later and
-  therefore writes under a strictly newer generation — the filename
-  differs even when the pid matches.
+  never share a temp file.  The orphan sweep removes only temp files
+  from *older* generations whose writer pid is dead at the check.
+* **Long-lived handles.**  A handle keeps the generation it opened at
+  for its whole lifetime: a service's
+  :class:`~repro.service.jobs.JobManager` opens one handle and writes
+  under its generation for as long as it runs, while later openers sweep
+  with newer generations.  The sweep still never removes a live
+  writer's temp file, because it skips every file whose pid is alive;
+  and a pid recycled after the check belongs to a process that opens
+  the store later, under a strictly newer generation the sweep skips
+  too — the filename differs even when the pid matches.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import itertools
 import json
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -66,6 +76,7 @@ STORE_SCHEMA = 2
 LEGACY_FLAT_SCHEMA = 1
 
 _META_NAME = "store.json"
+_LOCK_NAME = "store.lock"
 _OBJECTS_DIR = "objects"
 _QUARANTINE_DIR = "quarantine"
 _SHARD_WIDTH = 2
@@ -136,10 +147,13 @@ class StoreEntry:
 class StoreCounters:
     """Per-:class:`ResultStore`-instance runtime counters.
 
-    ``hits``/``misses`` count :meth:`ResultStore.load` outcomes in this
-    process (the cross-run hit ratio is what the sweep progress tracker
-    reports); ``writes`` counts published entries and ``quarantined``
-    counts corrupt entries moved aside.
+    ``hits``/``misses`` count :meth:`ResultStore.load` outcomes through
+    this handle (the cross-run hit ratio is what the sweep progress
+    tracker reports); ``writes`` counts published entries and
+    ``quarantined`` counts corrupt entries moved aside.  A handle shared
+    by several threads (every job of a
+    :class:`~repro.service.jobs.JobManager`) counts for all of them; the
+    store updates the counters under a lock, so the totals stay exact.
     """
 
     hits: int = 0
@@ -182,8 +196,12 @@ class ResultStore:
 
     Opening a store creates or validates the root (rejecting
     newer-schema stores, migrating older layouts exactly once), bumps
-    the persistent generation counter and sweeps orphaned temp files of
-    dead writers from older generations.
+    the persistent generation counter under the root's lock file and
+    sweeps orphaned temp files of dead writers from older generations.
+    Every construction is one such open; callers that run many sweeps
+    over one root (a :class:`~repro.service.jobs.JobManager`) open one
+    handle and share it.  A shared handle survives its root being
+    removed: a lookup misses and the next publish recreates the shard.
     """
 
     root: str
@@ -191,11 +209,18 @@ class ResultStore:
     _migrated: int = field(init=False, default=0)
     _preexisting: bool = field(init=False, default=False)
     counters: StoreCounters = field(init=False, default_factory=StoreCounters)
+    _counter_lock: threading.Lock = field(
+        init=False, default_factory=threading.Lock, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.root = os.fspath(self.root)
         os.makedirs(self.root, exist_ok=True)
-        self._open_meta()
+        with open(os.path.join(self.root, _LOCK_NAME), "a", encoding="utf-8") as lock:
+            # Released when the file closes.  flock locks belong to the
+            # open file, so threads of one process exclude each other too.
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            self._open_meta()
         os.makedirs(self._objects_root(), exist_ok=True)
         self.sweep_orphans()
 
@@ -306,10 +331,11 @@ class ResultStore:
         :attr:`counters`.
         """
         entry = self._read_entry(key)
-        if entry is None:
-            self.counters.misses += 1
-        else:
-            self.counters.hits += 1
+        with self._counter_lock:
+            if entry is None:
+                self.counters.misses += 1
+            else:
+                self.counters.hits += 1
         return entry
 
     def get(self, key: str) -> StoreEntry | None:
@@ -388,7 +414,8 @@ class ResultStore:
                 os.unlink(tmp_path)
             except OSError:
                 pass
-        self.counters.writes += 1
+        with self._counter_lock:
+            self.counters.writes += 1
         return path
 
     def contains(self, key: str) -> bool:
@@ -441,7 +468,8 @@ class ResultStore:
             os.replace(path, target)
         except OSError:
             return
-        self.counters.quarantined += 1
+        with self._counter_lock:
+            self.counters.quarantined += 1
 
     # -- hygiene / stats -----------------------------------------------------
 

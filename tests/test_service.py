@@ -10,6 +10,7 @@ monotone in ``done`` and terminated by a ``finished`` snapshot.
 
 from __future__ import annotations
 
+import shutil
 import threading
 import time
 
@@ -22,6 +23,7 @@ from repro.core.parallel import InFlightRegistry, ParallelSweepRunner
 from repro.service import JobManager, job_spec
 from repro.service.specs import phase_config
 from repro.service.tables import render_csv, sweep_rows
+from repro.store import ResultStore, verify_store
 
 #: Single-value spec fields per job type (null is not allowed in any of them).
 SCALAR_FIELDS = {
@@ -263,6 +265,58 @@ class TestJobLifecycle:
             gate.release()
         for job in blockers:
             assert job.wait(timeout=120)
+
+
+class TestSharedStoreHandle:
+    WORKLOAD_SPEC = {
+        "type": "workload",
+        "workloads": ["dnn-pipeline"],
+        "arrangements": ["hexamesh"],
+        "chiplets": [7],
+        "mappers": ["round-robin"],
+        "cycles": 80,
+    }
+    RESILIENCE_SPEC = {
+        "type": "resilience",
+        "kinds": ["grid"],
+        "chiplets": 9,
+        "failures": [0, 1],
+        "samples": 1,
+        "cycles": 80,
+    }
+
+    def test_a_manager_opens_its_store_once(self, manager):
+        # Every job runs on the manager's one handle: after five jobs (two
+        # of them submitted together) the only other open is this check.
+        together = [manager.submit(SWEEP_SPEC), manager.submit(self.RESILIENCE_SPEC)]
+        results = [manager.result(job.id, timeout=120) for job in together]
+        for spec in (SWEEP_SPEC, self.WORKLOAD_SPEC, self.RESILIENCE_SPEC):
+            results.append(manager.result(manager.submit(spec).id, timeout=120))
+        assert ResultStore(manager.cache_dir).generation == 2
+        # The handle's counters total every job, across the job threads.
+        counters = manager.store.counters
+        assert counters.hits == sum(result["cache"]["cache_hits"] for result in results)
+        assert counters.misses == counters.writes == sum(
+            result["cache"]["simulated"] for result in results
+        )
+
+    def test_manager_survives_its_store_directory_being_removed(
+        self, manager, monkeypatch
+    ):
+        cold = manager.result(manager.submit(SWEEP_SPEC).id, timeout=120)
+        shutil.rmtree(manager.cache_dir)
+        again = manager.result(manager.submit(SWEEP_SPEC).id, timeout=120)
+        assert again["cache"] == {"candidates": 4, "cache_hits": 0, "simulated": 4}
+        assert again["csv"] == cold["csv"]
+        with monkeypatch.context() as patch:
+            _forbid_simulation(patch)
+            warm = manager.result(manager.submit(SWEEP_SPEC).id, timeout=120)
+        assert warm["cache"] == {"candidates": 4, "cache_hits": 4, "simulated": 0}
+        store = ResultStore(manager.cache_dir)
+        assert store.stats().entries == 4
+        outcomes = verify_store(store, sample=4)
+        assert len(outcomes) == 4
+        assert all(outcome.ok for outcome in outcomes), outcomes
 
 
 class TestStreamedProgress:

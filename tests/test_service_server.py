@@ -194,3 +194,16 @@ class TestJobsCli:
             "jobs", "ping", "--socket", str(tmp_path / "missing.sock"),
         ]) == 1
         assert "hexamesh serve" in capsys.readouterr().err
+
+    def test_serve_on_a_newer_schema_store_is_a_clean_error(self, tmp_path, capsys):
+        # The manager opens its store when the server starts, so a store
+        # this code cannot use is reported before any socket is bound.
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "store.json").write_text(json.dumps({"schema": 99, "generation": 1}))
+        socket_path = tmp_path / "hexamesh.sock"
+        assert main([
+            "serve", "--socket", str(socket_path), "--cache-dir", str(store),
+        ]) == 2
+        assert "schema 99" in capsys.readouterr().err
+        assert not socket_path.exists()

@@ -468,3 +468,38 @@ class TestRunnerKeyCompatibility:
         assert single_runner.cache_key(
             candidate, replace(FAST_CONFIG, seed=seed)
         ) != staged_runner.cache_key(candidate, replace(staged, seed=seed))
+
+    @pytest.mark.parametrize(
+        ("config", "derive_seeds"),
+        [
+            (SimulationConfig(), True),
+            (replace(FAST_CONFIG, router_pipeline="staged"), True),
+            (replace(FAST_CONFIG, seed=7), True),
+            (FAST_CONFIG, False),
+        ],
+        ids=["default-config", "staged", "derived-seeds", "base-seed"],
+    )
+    def test_published_keys_are_the_per_candidate_config_keys(
+        self, tmp_path, config, derive_seeds
+    ):
+        # run() renders the config identity once and swaps each seed in;
+        # the keys it publishes must be the ones a fully rebuilt
+        # per-candidate config hashes to, or every existing store goes cold.
+        runner = ParallelSweepRunner(
+            config, jobs=1, cache_dir=tmp_path, derive_seeds=derive_seeds
+        )
+        records = runner.run(
+            ParallelSweepRunner.grid(["hexamesh"], [7], [0.05, 0.3], ["uniform"])
+        )
+        expected = [
+            result_key(
+                record.candidate.key_dict(),
+                config_identity_dict(replace(config, seed=record.seed)),
+            )
+            for record in records
+        ]
+        assert sorted(expected) == runner.store.keys()
+        assert len(set(expected)) == len(records)
+        for record, key in zip(records, expected):
+            assert runner.cache_key(record.candidate, replace(config, seed=record.seed)) == key
+            assert runner.store.get(key).candidate == record.candidate.key_dict()

@@ -10,6 +10,8 @@ entries left behind.
 
 from __future__ import annotations
 
+import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -36,6 +38,39 @@ def _forbid_simulation(monkeypatch):
         raise AssertionError("a warm run must not invoke the simulator")
 
     monkeypatch.setattr(parallel_module, "_evaluate_work_item", boom)
+
+
+def _open_repeatedly(root, barrier, opens, out_path):
+    """Child process: open ``root`` ``opens`` times, record each generation."""
+    barrier.wait(timeout=60)
+    generations = [ResultStore(root).generation for _ in range(opens)]
+    with open(out_path, "w", encoding="utf-8") as handle:
+        json.dump(generations, handle)
+
+
+class TestConcurrentOpeners:
+    def test_every_open_gets_a_distinct_generation(self, tmp_path):
+        # The generation read-bump-write runs under the root's lock file,
+        # so racing openers in several processes never reuse a generation
+        # and none is lost.
+        root = str(tmp_path / "store")
+        processes_count, opens = 4, 50
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(processes_count)
+        outputs = [tmp_path / f"generations-{index}.json" for index in range(processes_count)]
+        workers = [
+            context.Process(target=_open_repeatedly, args=(root, barrier, opens, str(out)))
+            for out in outputs
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert [worker.exitcode for worker in workers] == [0] * processes_count
+        generations = [g for out in outputs for g in json.loads(out.read_text())]
+        total = processes_count * opens
+        assert sorted(generations) == list(range(1, total + 1))
+        assert ResultStore(root).generation == total + 1
 
 
 class TestWarmRunIsPure:
