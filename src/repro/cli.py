@@ -50,6 +50,7 @@ from repro.arrangements.factory import make_arrangement
 from repro.core.design import ChipletDesign
 from repro.core.parallel import ParallelSweepRunner, SweepCandidate
 from repro.core.report import compare_designs
+from repro.core.verify import verify_store
 from repro.evaluation.proxies import run_figure6
 from repro.evaluation.tables import format_table
 from repro.io.booksim_export import write_booksim_inputs
@@ -74,6 +75,7 @@ from repro.service.specs import (
     phase_config,
 )
 from repro.service.tables import RESILIENCE_HEADER, render_csv, resilience_rows
+from repro.store import ResultStore, StoreSchemaError
 from repro.telemetry import (
     FlitTracer,
     MetricsCollector,
@@ -1003,10 +1005,6 @@ def _candidate_summary(candidate: dict) -> str:
 
 
 def _command_store(args: argparse.Namespace) -> int:
-    # Imported lazily: the analysis-only commands should not pay for the
-    # store package (which pulls in the sweep stack through verify).
-    from repro.store import ResultStore, StoreSchemaError, verify_store
-
     if not os.path.isdir(args.root):
         print(f"error: no store directory at {args.root!r}", file=sys.stderr)
         return 2
@@ -1159,7 +1157,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     # Imported lazily: only the service commands should pay for the
     # service package on top of the sweep stack.
     from repro.service import JobManager, ServiceServer
-    from repro.store import StoreSchemaError
 
     try:
         # The manager opens the store here, once, for every job it runs.

@@ -16,9 +16,16 @@ from typing import Callable, Iterable, Sequence
 from repro.arrangements.base import ArrangementKind
 from repro.arrangements.factory import make_arrangement
 from repro.core.design import ChipletDesign
-from repro.core.parallel import ProgressCallback, is_inline, parallel_map
+from repro.core.parallel import (
+    ParallelSweepRunner,
+    ProgressCallback,
+    SweepCandidate,
+    is_inline,
+    parallel_map,
+)
 from repro.linkmodel.parameters import EvaluationParameters
 from repro.noc.engine import DEFAULT_ENGINE
+from repro.noc.sweep import InjectionSweepResult
 from repro.utils.validation import check_in_choices
 from repro.workloads import (
     available_mappers,
@@ -391,29 +398,32 @@ class DesignSpaceExplorer:
         spot-checks its Figure 7 points with BookSim2.
 
         With ``rates`` the spot check becomes a whole latency/throughput
-        curve: an injection sweep over the design, returned as an
-        :class:`~repro.noc.sweep.InjectionSweepResult`, whose points
-        share one topology / routing / flat-state build.  ``cache_dir``
-        points the curve path at a persistent result store
-        (:mod:`repro.store`), so spot checks share results with every
-        other execution path using the same store.
+        curve, returned as an :class:`~repro.noc.sweep.InjectionSweepResult`:
+        one ``kind="custom"`` candidate per rate, run with the base seed
+        through :class:`ParallelSweepRunner` over one shared build.
+        ``cache_dir`` backs the curve with a result store
+        (:mod:`repro.store`) shared with every other execution path; the
+        curve is the same with or without one.
         """
-        if rates is not None:
-            # Imported lazily to keep repro.core free of a hard noc.sweep
-            # dependency at import time.
-            from repro.noc.sweep import run_injection_sweep
-
-            design = record.design
-            return run_injection_sweep(
-                design.arrangement.graph,
-                design.simulation_config(config),
-                rates=rates,
-                engine=engine,
-                cache_dir=cache_dir,
+        design = record.design
+        if rates is None:
+            return design.simulate(injection_rate=injection_rate, config=config, engine=engine)
+        graph = design.arrangement.graph
+        edges = tuple(sorted(tuple(sorted(edge)) for edge in graph.edges()))
+        candidates = [
+            SweepCandidate(
+                kind="custom",
+                num_chiplets=graph.num_nodes,
+                injection_rate=rate,
+                graph_edges=edges,
             )
-        return record.design.simulate(
-            injection_rate=injection_rate, config=config, engine=engine
+            for rate in rates
+        ]
+        runner = ParallelSweepRunner(
+            design.simulation_config(config), cache_dir=cache_dir, engine=engine, derive_seeds=False
         )
+        records = runner.run(candidates)
+        return InjectionSweepResult(tuple(rates), tuple(record.result for record in records))
 
     def rank(self, objective: str = "latency") -> list[ExplorationRecord]:
         """All evaluated records sorted from best to worst for ``objective``."""

@@ -25,11 +25,15 @@ Invariants the rest of the code base relies on:
   chunked dispatch keeps them busy), but results are always returned in
   candidate order.
 
-:func:`parallel_map` is the underlying generic helper; the
-:class:`DesignSpaceExplorer <repro.core.explorer.DesignSpaceExplorer>`,
-:func:`run_figure7 <repro.evaluation.performance.run_figure7>` and
-:func:`run_injection_sweep <repro.noc.sweep.run_injection_sweep>` all fan
-out through it.
+:class:`ParallelSweepRunner` is the one path a stored or parallel
+simulated result takes: sweep, workload and resilience jobs,
+:func:`run_figure7 <repro.evaluation.performance.run_figure7>`'s
+cycle-accurate points and the
+:meth:`DesignSpaceExplorer.spot_check
+<repro.core.explorer.DesignSpaceExplorer.spot_check>` curves all run
+through it.  :func:`parallel_map` is the underlying generic helper: the
+runner dispatches its work items through it, and the explorer fans its
+analytical evaluations out through it.
 """
 
 from __future__ import annotations
@@ -291,6 +295,36 @@ class SweepCandidate:
             # candidates unchanged from earlier versions.
             key.update(self.fault_set.key_dict())
         return key
+
+    @classmethod
+    def from_key_dict(cls, data: dict[str, Any]) -> SweepCandidate:
+        """Rebuild the candidate a :meth:`key_dict` describes.
+
+        Accepts the JSON round trip of a ``key_dict`` (lists for tuples),
+        which is what a store entry carries; the rebuilt candidate's own
+        ``key_dict()`` (and hence its derived seed and cache key) equals
+        the input exactly.
+        """
+        kwargs: dict[str, Any] = {
+            "kind": data["kind"],
+            "num_chiplets": data["num_chiplets"],
+            # key_dict stores repr(rate); float(repr(x)) round-trips exactly.
+            "injection_rate": float(data["injection_rate"]),
+            "traffic": data.get("traffic", "uniform"),
+            "regularity": data.get("regularity"),
+        }
+        edges = data.get("graph_edges")
+        if edges is not None:
+            kwargs["graph_edges"] = tuple(tuple(edge) for edge in edges)
+        if data.get("workload") is not None:
+            kwargs["workload"] = data["workload"]
+            params = data.get("workload_params")
+            if params is not None:
+                kwargs["workload_params"] = tuple((name, value) for name, value in params)
+            kwargs["mapper"] = data.get("mapper")
+        kwargs["failed_links"] = tuple(tuple(link) for link in data.get("failed_links", ()))
+        kwargs["failed_routers"] = tuple(data.get("failed_routers", ()))
+        return cls(**kwargs)
 
     def batch_key(self) -> str:
         """Canonical identity of everything the candidate *shares* in a batch.

@@ -1,7 +1,8 @@
 """Store verification: recompute sampled entries and compare bit-for-bit.
 
 A store entry is self-describing: the candidate identity it carries
-rebuilds the exact :class:`~repro.core.parallel.SweepCandidate`, and the
+rebuilds the exact :class:`~repro.core.parallel.SweepCandidate`
+(:meth:`~repro.core.parallel.SweepCandidate.from_key_dict`), and the
 embedded provenance manifest carries the full simulation configuration
 (seed included) the result was produced with.  Verification replays that
 simulation and requires the canonical JSON rendering of the result to
@@ -10,6 +11,11 @@ is not lying" check.  The replay runs the default engine (or an explicit
 override), not the one the manifest records: the engines are
 bit-identical under a fixed seed, and the recorded name is provenance
 only — it may name an engine that no longer exists.
+
+The replay goes through :func:`~repro.core.parallel._evaluate_work_item`,
+the worker entry point of every sweep, which is why this module lives in
+:mod:`repro.core` rather than in :mod:`repro.store`: the store only
+stores.
 """
 
 from __future__ import annotations
@@ -19,7 +25,14 @@ import random
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.store.store import ResultStore, StoreEntry, result_key
+from repro.core.parallel import (
+    SweepCandidate,
+    _evaluate_work_item,
+    simulation_result_to_dict,
+)
+from repro.noc.config import SimulationConfig
+from repro.noc.engine import DEFAULT_ENGINE
+from repro.store import ResultStore, StoreEntry, result_key
 
 
 @dataclass(frozen=True)
@@ -33,38 +46,6 @@ class VerifyOutcome:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-
-def candidate_from_key_dict(data: dict[str, Any]):
-    """Rebuild the :class:`SweepCandidate` a ``key_dict`` describes.
-
-    Inverse of :meth:`SweepCandidate.key_dict`: the rebuilt candidate's
-    own ``key_dict()`` (and hence its derived seed and cache key) equals
-    the input exactly.
-    """
-    # Imported lazily: repro.core.parallel imports this package.
-    from repro.core.parallel import SweepCandidate
-
-    kwargs: dict[str, Any] = {
-        "kind": data["kind"],
-        "num_chiplets": data["num_chiplets"],
-        # key_dict stores repr(rate); float(repr(x)) round-trips exactly.
-        "injection_rate": float(data["injection_rate"]),
-        "traffic": data.get("traffic", "uniform"),
-        "regularity": data.get("regularity"),
-    }
-    edges = data.get("graph_edges")
-    if edges is not None:
-        kwargs["graph_edges"] = tuple(tuple(edge) for edge in edges)
-    if data.get("workload") is not None:
-        kwargs["workload"] = data["workload"]
-        params = data.get("workload_params")
-        if params is not None:
-            kwargs["workload_params"] = tuple((name, value) for name, value in params)
-        kwargs["mapper"] = data.get("mapper")
-    kwargs["failed_links"] = tuple(tuple(link) for link in data.get("failed_links", ()))
-    kwargs["failed_routers"] = tuple(data.get("failed_routers", ()))
-    return SweepCandidate(**kwargs)
 
 
 def canonical_result_json(result: dict[str, Any]) -> str:
@@ -87,10 +68,6 @@ def verify_entry(entry: StoreEntry, *, engine: str | None = None) -> VerifyOutco
     ``engine`` field is provenance and is not consulted (the engines are
     bit-identical, so the choice only changes wall time).
     """
-    from repro.core.parallel import _evaluate_work_item, simulation_result_to_dict
-    from repro.noc.config import SimulationConfig
-    from repro.noc.engine import DEFAULT_ENGINE
-
     manifest = entry.manifest or {}
     config_data = manifest.get("config")
     if not isinstance(config_data, dict):
@@ -99,7 +76,7 @@ def verify_entry(entry: StoreEntry, *, engine: str | None = None) -> VerifyOutco
         )
     try:
         config = SimulationConfig(**config_data)
-        candidate = candidate_from_key_dict(entry.candidate)
+        candidate = SweepCandidate.from_key_dict(entry.candidate)
     except (TypeError, ValueError, KeyError) as error:
         return VerifyOutcome(entry.key, "mismatch", f"unreplayable entry: {error}")
     expected_key = result_key(candidate.key_dict(), config_data)

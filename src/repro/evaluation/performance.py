@@ -13,12 +13,16 @@ For every arrangement family and chiplet count the experiment computes:
 Two evaluation engines are supported:
 
 * ``mode="analytical"`` — the closed-form models of :mod:`repro.perfmodel`
-  (hop-count latency and channel-load saturation); fast enough to sweep
-  every chiplet count from 2 to 100 exactly like the paper,
+  (hop-count latency and channel-load saturation,
+  :func:`evaluate_arrangement_performance`); fast enough to sweep every
+  chiplet count from 2 to 100 exactly like the paper,
 * ``mode="simulation"`` — the cycle-accurate simulator of
   :mod:`repro.noc`, used for the chiplet counts listed in
   ``simulation_points`` (all others fall back to the analytical engine),
-  mirroring how one would use BookSim2 for spot checks.
+  mirroring how one would use BookSim2 for spot checks.  Every simulated
+  point runs through :class:`~repro.core.parallel.ParallelSweepRunner`
+  in :func:`run_figure7`, so it shares the result store, the in-flight
+  dedupe and the grouping of every other sweep.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from repro.linkmodel.bandwidth import D2DLinkModel
 from repro.linkmodel.parameters import EvaluationParameters
 from repro.noc.config import SimulationConfig
 from repro.noc.engine import DEFAULT_ENGINE, ENGINE_NAMES
-from repro.noc.sweep import measure_saturation_throughput, measure_zero_load_latency
+from repro.noc.sweep import ZERO_LOAD_INJECTION_RATE
 from repro.perfmodel.latency import zero_load_latency_cycles
 from repro.perfmodel.throughput import (
     bisection_limited_saturation_fraction,
@@ -240,12 +244,10 @@ def evaluate_arrangement_performance(
     arrangement: Arrangement,
     parameters: EvaluationParameters | None = None,
     *,
-    engine: str = "analytical",
     throughput_model: str = "bisection",
     simulation_config: SimulationConfig | None = None,
-    noc_engine: str = DEFAULT_ENGINE,
 ) -> Figure7Point:
-    """Latency / throughput of one arrangement with either engine.
+    """Analytical latency / throughput of one arrangement.
 
     Parameters
     ----------
@@ -253,45 +255,29 @@ def evaluate_arrangement_performance(
         The arrangement to evaluate.
     parameters:
         Architectural parameters (defaults to the paper's).
-    engine:
-        ``"analytical"`` (closed-form models) or ``"simulation"``
-        (cycle-accurate simulator).
     throughput_model:
-        Analytical saturation model: ``"bisection"`` (bisection-limited
-        bound, the default — it matches the behaviour the paper's Figure 7d
+        Saturation model: ``"bisection"`` (bisection-limited bound, the
+        default — it matches the behaviour the paper's Figure 7d
         discussion describes) or ``"channel_load"`` (per-node even-split
-        channel loads, more conservative).  Ignored by the simulation
-        engine.
+        channel loads, more conservative).
     simulation_config:
-        Optional simulator phase-length / seed override.
-    noc_engine:
-        Cycle-loop engine for the simulation engine (``"vectorized"`` or
-        ``"legacy"``; bit-identical).  Ignored in analytical mode.
+        Optional simulator configuration; the models read its
+        ``local_latency_cycles`` and ``packet_size_flits``.
+
+    Cycle-accurate points come from :func:`run_figure7` in
+    ``"simulation"`` or ``"hybrid"`` mode.
     """
-    check_in_choices("engine", engine, ("analytical", "simulation"))
     check_in_choices("throughput_model", throughput_model, ("bisection", "channel_load"))
-    check_in_choices("noc_engine", noc_engine, ENGINE_NAMES)
     if parameters is None:
         parameters = EvaluationParameters()
     config = _simulation_config_from(parameters, simulation_config)
-
-    if engine == "analytical" or arrangement.num_chiplets == 1:
-        latency = zero_load_latency_cycles(arrangement.graph, config)
-        if throughput_model == "bisection":
-            saturation = bisection_limited_saturation_fraction(arrangement.graph, config)
-        else:
-            saturation = saturation_throughput_fraction(arrangement.graph, config)
+    latency = zero_load_latency_cycles(arrangement.graph, config)
+    if throughput_model == "bisection":
+        saturation = bisection_limited_saturation_fraction(arrangement.graph, config)
     else:
-        zero_load = measure_zero_load_latency(
-            arrangement.graph, config, engine=noc_engine
-        )
-        latency = zero_load.packet_latency.mean
-        saturation, _ = measure_saturation_throughput(
-            arrangement.graph, config, engine=noc_engine
-        )
-
+        saturation = saturation_throughput_fraction(arrangement.graph, config)
     return _assemble_figure7_point(
-        arrangement, parameters, latency=latency, saturation=saturation, engine=engine
+        arrangement, parameters, latency=latency, saturation=saturation, engine="analytical"
     )
 
 
@@ -305,10 +291,9 @@ def _assemble_figure7_point(
 ) -> Figure7Point:
     """Attach the link-model bandwidths and build one Figure 7 point.
 
-    The single-design path (:func:`evaluate_arrangement_performance`) and
-    the sweep-runner path of :func:`run_figure7` (:func:`_simulated_point`)
-    both assemble their points here, so the bandwidth formulas cannot
-    silently diverge.
+    The analytical path (:func:`evaluate_arrangement_performance`) and
+    the simulated points of :func:`run_figure7` both assemble their points
+    here, so the bandwidth formulas cannot silently diverge.
     """
     link_model = D2DLinkModel(parameters)
     estimate = link_model.estimate_for_arrangement(arrangement)
@@ -327,22 +312,6 @@ def _assemble_figure7_point(
         link_bandwidth_gbps=estimate.bandwidth_gbps,
         full_global_bandwidth_tbps=full_global_tbps,
         engine=engine,
-    )
-
-
-def _simulated_point(
-    arrangement: Arrangement,
-    parameters: EvaluationParameters,
-    zero_load_result,
-    overload_result,
-) -> Figure7Point:
-    """Assemble a simulation-engine point from pre-computed sweep results."""
-    return _assemble_figure7_point(
-        arrangement,
-        parameters,
-        latency=zero_load_result.packet_latency.mean,
-        saturation=overload_result.accepted_flit_rate,
-        engine="simulation",
     )
 
 
@@ -431,20 +400,16 @@ def run_figure7(
     ]
 
     sim_designs = [(kind, count) for kind, count in grid_order if count in simulated and count > 1]
-    simulated_results: dict[tuple[ArrangementKind, int], Figure7Point] = {}
+    simulated_points: dict[tuple[ArrangementKind, int], Figure7Point] = {}
     if sim_designs:
         from repro.core.parallel import ParallelSweepRunner, SweepCandidate
-        from repro.noc.sweep import ZERO_LOAD_INJECTION_RATE
 
         config = _simulation_config_from(parameters, simulation_config)
-        candidates = []
-        for kind, count in sim_designs:
-            for rate in (ZERO_LOAD_INJECTION_RATE, 1.0):
-                candidates.append(
-                    SweepCandidate(
-                        kind=kind.value, num_chiplets=count, injection_rate=rate
-                    )
-                )
+        candidates = [
+            SweepCandidate(kind=kind.value, num_chiplets=count, injection_rate=rate)
+            for kind, count in sim_designs
+            for rate in (ZERO_LOAD_INJECTION_RATE, 1.0)
+        ]
         runner = ParallelSweepRunner(
             config, jobs=jobs, cache_dir=cache_dir, engine=noc_engine,
             derive_seeds=False, in_flight=in_flight,
@@ -453,36 +418,31 @@ def run_figure7(
         for pair_index, (kind, count) in enumerate(sim_designs):
             zero_load = records[2 * pair_index].result
             overload = records[2 * pair_index + 1].result
-            arrangement = make_arrangement(kind, count)
-            simulated_results[(kind, count)] = _simulated_point(
-                arrangement, parameters, zero_load, overload
+            simulated_points[(kind, count)] = _assemble_figure7_point(
+                make_arrangement(kind, count),
+                parameters,
+                latency=zero_load.packet_latency.mean,
+                saturation=overload.accepted_flit_rate,
+                engine="simulation",
             )
 
-    points: list[Figure7Point] = []
-    for kind, count in grid_order:
-        precomputed = simulated_results.get((kind, count))
-        if precomputed is not None:
-            points.append(precomputed)
-            continue
-        arrangement = make_arrangement(kind, count)
-        engine = "simulation" if count in simulated else "analytical"
-        points.append(
-            evaluate_arrangement_performance(
-                arrangement,
-                parameters,
-                engine=engine,
-                throughput_model=throughput_model,
-                simulation_config=simulation_config,
-                noc_engine=noc_engine,
-            )
+    points = [
+        simulated_points.get((kind, count))
+        or evaluate_arrangement_performance(
+            make_arrangement(kind, count),
+            parameters,
+            throughput_model=throughput_model,
+            simulation_config=simulation_config,
         )
+        for kind, count in grid_order
+    ]
     return Figure7Result(
         points=points,
         parameters=parameters,
         metadata={
             "mode": mode,
             "throughput_model": throughput_model,
-            "simulated_counts": sorted(simulated),
+            "simulated_counts": sorted({count for _, count in sim_designs}),
             "counts": counts,
             "jobs": jobs,
         },

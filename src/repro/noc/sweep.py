@@ -8,13 +8,16 @@ Section VI of the paper reports two numbers per design point:
   sustain, reported by BookSim2 as a fraction of the full global
   bandwidth and converted into Tb/s with the link-bandwidth model.
 
-Two estimation methods are provided for the saturation throughput:
+:func:`measure_saturation_throughput` drives every endpoint at full
+injection rate and reports the accepted flit rate — the plateau of the
+throughput-vs-offered-load curve — in one simulation;
+:func:`run_injection_sweep` returns the whole curve, whose
+:attr:`~InjectionSweepResult.saturation_throughput` is the maximum
+accepted rate observed.
 
-* ``"overload"`` (default, one simulation): drive every endpoint at full
-  injection rate and report the accepted flit rate — the plateau of the
-  throughput-vs-offered-load curve;
-* ``"sweep"`` (several simulations): sweep the offered load and return the
-  maximum accepted rate observed, together with the whole curve.
+These helpers only simulate.  Cached or parallel sweeps go through
+:class:`repro.core.parallel.ParallelSweepRunner` with ``kind="custom"``
+candidates.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.noc.config import SimulationConfig
 from repro.noc.engine import DEFAULT_ENGINE
 from repro.noc.simulator import BatchPoint, NocSimulator, SimulationResult
 from repro.noc.traffic import TrafficPattern
-from repro.utils.validation import check_fraction, check_in_choices
+from repro.utils.validation import check_fraction
 
 #: Injection rate used to approximate "zero load".
 ZERO_LOAD_INJECTION_RATE = 0.02
@@ -96,22 +99,15 @@ def run_injection_sweep(
     *,
     rates: Sequence[float] | None = None,
     traffic: TrafficPattern | str = "uniform",
-    jobs: int = 1,
-    cache_dir: str | None = None,
     engine: str = DEFAULT_ENGINE,
 ) -> InjectionSweepResult:
     """Simulate the network at a sequence of offered loads.
 
-    Every rate runs with the configured base seed over one shared
-    topology / routing / flat-state build.  With ``jobs > 1`` the offered
-    loads are fanned across worker processes through
-    :class:`repro.core.parallel.ParallelSweepRunner`, and ``cache_dir``
-    enables the on-disk result store; otherwise the sweep is one
-    :meth:`NocSimulator.run_batch` call.  A :class:`TrafficPattern`
-    *instance* always takes the in-process path because only pattern
-    names can be shipped to workers.  ``engine`` selects the cycle-loop
-    engine (all engines are bit-identical, so it never changes the curve
-    — only the wall-clock).
+    Every rate runs with the configured base seed in one
+    :meth:`NocSimulator.run_batch` call, over one shared topology /
+    routing / flat-state build.  ``engine`` selects the cycle-loop engine
+    (the engines are bit-identical, so it never changes the curve — only
+    the wall-clock).
     """
     if config is None:
         config = SimulationConfig()
@@ -119,30 +115,10 @@ def run_injection_sweep(
         rates = (0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0)
     for rate in rates:
         check_fraction("injection rate", rate)
-    if isinstance(traffic, str) and (jobs > 1 or cache_dir is not None):
-        # Imported lazily: repro.core imports the noc package at module load.
-        from repro.core.parallel import ParallelSweepRunner, SweepCandidate
-
-        edges = tuple(sorted(tuple(sorted(edge)) for edge in graph.edges()))
-        candidates = [
-            SweepCandidate(
-                kind="custom",
-                num_chiplets=graph.num_nodes,
-                injection_rate=rate,
-                traffic=traffic,
-                graph_edges=edges,
-            )
-            for rate in rates
-        ]
-        runner = ParallelSweepRunner(
-            config, jobs=jobs, cache_dir=cache_dir, engine=engine, derive_seeds=False
-        )
-        results = tuple(record.result for record in runner.run(candidates))
-    else:
-        points = [BatchPoint(rate) for rate in rates]
-        results = tuple(
-            NocSimulator.run_batch(graph, points, config=config, traffic=traffic, engine=engine)
-        )
+    points = [BatchPoint(rate) for rate in rates]
+    results = tuple(
+        NocSimulator.run_batch(graph, points, config=config, traffic=traffic, engine=engine)
+    )
     return InjectionSweepResult(rates=tuple(rates), results=results)
 
 
@@ -151,21 +127,15 @@ def measure_saturation_throughput(
     config: SimulationConfig | None = None,
     *,
     traffic: TrafficPattern | str = "uniform",
-    method: str = "overload",
-    rates: Sequence[float] | None = None,
     engine: str = DEFAULT_ENGINE,
-) -> tuple[float, SimulationResult | InjectionSweepResult]:
+) -> tuple[float, SimulationResult]:
     """Estimate the saturation throughput in flits per cycle per endpoint.
 
     Returns a pair ``(saturation_rate, evidence)`` where ``evidence`` is the
-    single overload simulation (``method="overload"``) or the full sweep
-    (``method="sweep"``).
+    single simulation at full injection rate.  The estimate from a whole
+    curve is ``run_injection_sweep(...).saturation_throughput``.
     """
-    check_in_choices("method", method, ("overload", "sweep"))
     if config is None:
         config = SimulationConfig()
-    if method == "overload":
-        result = _simulate(graph, config, 1.0, traffic, engine)
-        return result.accepted_flit_rate, result
-    sweep = run_injection_sweep(graph, config, rates=rates, traffic=traffic, engine=engine)
-    return sweep.saturation_throughput, sweep
+    result = _simulate(graph, config, 1.0, traffic, engine)
+    return result.accepted_flit_rate, result

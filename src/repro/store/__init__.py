@@ -3,10 +3,11 @@
 The durable, shareable successor of the per-run flat JSON cache: sharded
 content-addressed entries under ``objects/``, atomic lock-free writes, a
 versioned on-disk schema with an explicit migrate/reject path, embedded
-provenance manifests, generation-guarded temp-file hygiene and
-recompute-and-compare verification.  Both sweep runners read and write
-through it, so every execution path — sweeps, figure 7, resilience,
-workloads — shares one store.
+provenance manifests and generation-guarded temp-file hygiene.  The
+sweep runner reads and writes through it, so every execution path —
+sweeps, figure 7, resilience, workloads — shares one store.  Replaying
+entries bit-for-bit (``hexamesh store verify``) needs the simulator and
+lives in :mod:`repro.core.verify`; this package imports nothing above it.
 """
 
 from repro.store.store import (
@@ -22,14 +23,6 @@ from repro.store.store import (
     is_result_key,
     result_key,
 )
-from repro.store.verify import (
-    VerifyOutcome,
-    candidate_from_key_dict,
-    canonical_result_json,
-    sample_keys,
-    verify_entry,
-    verify_store,
-)
 
 __all__ = [
     "KEY_SCHEMA",
@@ -41,12 +34,6 @@ __all__ = [
     "StoreGCResult",
     "StoreSchemaError",
     "StoreStats",
-    "VerifyOutcome",
-    "candidate_from_key_dict",
-    "canonical_result_json",
     "is_result_key",
     "result_key",
-    "sample_keys",
-    "verify_entry",
-    "verify_store",
 ]

@@ -40,6 +40,16 @@ ALL_SIM_MODES: tuple[str, ...] = ("legacy",) + EQUIVALENT_SIM_MODES
 #: The batch engine each batched mode hands to ``run_batch``.
 BATCH_ENGINES: dict[str, str] = {"batched": "vectorized", "batched-legacy": "legacy"}
 
+#: ``repro.noc.array_kernel``'s size switches, each forced to one side
+#: (the kernel reads them as module globals at call time): at ``-1`` every
+#: stage takes its array path, at ``1 << 30`` its scalar / enumerating /
+#: sequential-tail path.  Otherwise traffic alone picks the side.
+FORCED_KERNEL_SWITCHES: tuple[tuple[str, int], ...] = tuple(
+    (name, value)
+    for name in ("_SCALAR_MAX", "_ENUM_MAX", "_VA_TAIL_MAX")
+    for value in (-1, 1 << 30)
+)
+
 #: Injection rate of the lead point that runs before the requested point in
 #: the batched modes; no suite requests it, so the two points always differ.
 LEAD_POINT_RATE = 0.45

@@ -6,6 +6,9 @@ from repro.core.design import ChipletDesign
 from repro.core.explorer import DesignSpaceExplorer
 from repro.core.report import DesignComparison, compare_designs
 from repro.noc.config import SimulationConfig
+from repro.noc.simulator import NocSimulator
+from repro.noc.sweep import run_injection_sweep
+from repro.store import ResultStore
 
 
 class TestExplorer:
@@ -75,6 +78,25 @@ class TestExplorerSpotCheck:
         assert legacy == vectorized
         assert legacy.num_routers == 7
         assert legacy.measured_packets_ejected > 0
+
+    def test_spot_check_curve_goes_through_the_store(self, tmp_path, monkeypatch):
+        explorer = DesignSpaceExplorer(kinds=["hexamesh"])
+        (record,) = explorer.evaluate([7])
+        config = SimulationConfig(warmup_cycles=40, measurement_cycles=80, drain_cycles=200)
+        design = record.design
+        reference = run_injection_sweep(
+            design.arrangement.graph, design.simulation_config(config), rates=(0.02, 0.1)
+        )
+        assert explorer.spot_check(record, rates=(0.02, 0.1), config=config) == reference
+        cold = explorer.spot_check(record, rates=(0.02, 0.1), config=config, cache_dir=tmp_path)
+        # The keys earlier versions of the curve path wrote: their stores stay warm.
+        assert sorted(ResultStore(str(tmp_path)).keys()) == [
+            "279f80200ed0fad21d0961237142cba5c99dd2c1fcde0786e621fc3ee2b4ac71",
+            "d4ce1ef3491152edcd3ee4257924552e0aad020718259b895253698d308ffa18",
+        ]
+        monkeypatch.setattr(NocSimulator, "run_batch", None)  # a warm curve never simulates
+        warm = explorer.spot_check(record, rates=(0.02, 0.1), config=config, cache_dir=tmp_path)
+        assert warm == cold == reference
 
 
 class TestDesignComparison:

@@ -41,20 +41,17 @@ class TestEvaluateArrangementPerformance:
         assert channel.saturation_fraction <= bisection.saturation_fraction
 
     def test_simulation_engine_on_tiny_design(self):
-        config = SimulationConfig(
-            warmup_cycles=100, measurement_cycles=300, drain_cycles=0
-        )
-        point = evaluate_arrangement_performance(
-            make_arrangement("grid", 4),
-            engine="simulation",
-            simulation_config=config,
-        )
+        config = SimulationConfig(warmup_cycles=100, measurement_cycles=300, drain_cycles=0)
+        result = run_figure7((4,), kinds=("grid",), mode="simulation", simulation_config=config)
+        point = result.point("grid", 4)
         assert point.engine == "simulation"
         assert point.zero_load_latency_cycles > 0
 
-    def test_invalid_engine_rejected(self):
+    def test_invalid_throughput_model_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_arrangement_performance(make_arrangement("grid", 4), engine="magic")
+            evaluate_arrangement_performance(
+                make_arrangement("grid", 4), throughput_model="magic"
+            )
 
 
 class TestFigure7:
@@ -101,6 +98,15 @@ class TestFigure7:
     def test_unknown_point_raises(self, figure7_small):
         with pytest.raises(KeyError):
             figure7_small.point("grid", 1000)
+
+    def test_single_chiplet_point_is_labelled_analytical(self):
+        # One chiplet has no network to simulate: the analytical models
+        # compute its point, and its label says so.
+        config = SimulationConfig(warmup_cycles=50, measurement_cycles=100, drain_cycles=0)
+        result = run_figure7((1, 4), kinds=("grid",), mode="simulation", simulation_config=config)
+        assert result.point("grid", 1).engine == "analytical"
+        assert result.point("grid", 4).engine == "simulation"
+        assert result.metadata["simulated_counts"] == [4]
 
     def test_hybrid_mode_marks_simulated_points(self):
         config = SimulationConfig(

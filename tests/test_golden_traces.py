@@ -31,10 +31,11 @@ import pytest
 
 from repro.arrangements.factory import make_arrangement
 from repro.core.parallel import simulation_result_to_dict
+from repro.noc import array_kernel
 from repro.noc.config import SimulationConfig, config_identity_dict
 from repro.resilience import sample_survivable_faults
 
-from sim_modes import simulate_noc
+from sim_modes import FORCED_KERNEL_SWITCHES, simulate_noc
 
 #: Schema of the golden files; bump on layout changes (forces regeneration).
 GOLDEN_SCHEMA = 1
@@ -91,6 +92,11 @@ SCENARIOS = tuple(
     for faulted in (False, True)
 )
 
+#: The saturated shallow-buffer point of :data:`BACKPRESSURE_CONFIG`.
+BACKPRESSURE_SCENARIO = GoldenScenario(
+    "hexamesh", 7, False, label="backpressure", rate=1.0, config=BACKPRESSURE_CONFIG
+)
+
 #: Kernel edge cases, enrolled with the same fixtures and mode grid: the
 #: minimum (2-router) topology, an empty generation schedule (zero
 #: injection rate — the engines must still agree on every phase
@@ -99,11 +105,14 @@ SCENARIOS = tuple(
 EDGE_SCENARIOS = (
     GoldenScenario("grid", 2, False, label="two-router"),
     GoldenScenario("hexamesh", 7, False, label="zero-load", rate=0.0),
-    GoldenScenario(
-        "hexamesh", 7, False, label="backpressure",
-        rate=1.0, config=BACKPRESSURE_CONFIG,
-    ),
+    BACKPRESSURE_SCENARIO,
     GoldenScenario("hexamesh", 7, True, label="two-link-faults", link_faults=2),
+)
+
+#: The two ends of the load range the kernel's size switches divide.
+FORCED_SWITCH_SCENARIOS = (
+    GoldenScenario("grid", 9, False, label="low-load", rate=0.02),
+    BACKPRESSURE_SCENARIO,
 )
 
 #: The staged-pipeline configuration pinned by the staged goldens.
@@ -277,3 +286,12 @@ def test_staged_goldens_have_expected_shape():
     with open(os.path.join(GOLDEN_DIR, "hexamesh7-healthy.json")) as handle:
         single = json.load(handle)
     assert staged["latency_histogram"] != single["latency_histogram"]
+
+
+@pytest.mark.parametrize("switch", FORCED_KERNEL_SWITCHES, ids=lambda s: f"{s[0]}={s[1]}")
+@pytest.mark.parametrize("scenario", FORCED_SWITCH_SCENARIOS, ids=lambda s: s.name)
+def test_forced_kernel_switches_reproduce_goldens(scenario, switch, monkeypatch):
+    """Either side of each kernel size switch alone matches the reference."""
+    legacy = build_payload(scenario, "legacy")
+    monkeypatch.setattr(array_kernel, *switch)
+    assert build_payload(scenario, "vectorized") == legacy

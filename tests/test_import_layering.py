@@ -2,10 +2,8 @@
 
 No module under ``repro/noc/`` or ``repro/store/`` may import from the
 layers built on top of them — ``repro.core``, ``repro.service``,
-``repro.evaluation``, ``repro.resilience`` or ``repro.cli`` — except the
-function-local imports listed in :data:`ALLOWED`, which predate the rule.
-The allow-list may only shrink: an entry whose import has gone fails the
-test as well, so removing an upward import removes its entry with it.
+``repro.evaluation``, ``repro.resilience`` or ``repro.cli`` — at any
+scope: a function-local import counts as much as a module-level one.
 """
 
 from __future__ import annotations
@@ -25,16 +23,6 @@ UPPER_MODULES: tuple[str, ...] = (
     "repro.evaluation",
     "repro.resilience",
     "repro.cli",
-)
-
-#: ``(file under repro/, enclosing function, imported module)`` of every
-#: tolerated upward import.  Delete entries; never add one.
-ALLOWED: frozenset[tuple[str, str, str]] = frozenset(
-    {
-        ("noc/sweep.py", "run_injection_sweep", "repro.core.parallel"),
-        ("store/verify.py", "candidate_from_key_dict", "repro.core.parallel"),
-        ("store/verify.py", "verify_entry", "repro.core.parallel"),
-    }
 )
 
 
@@ -100,19 +88,17 @@ def test_lower_layers_import_nothing_from_upper_layers():
         f"{path}:{line} imports {name}"
         + (f" in {function}()" if function else " at module level")
         for path, function, name, line in _upward_imports()
-        if (path, function, name) not in ALLOWED
     ]
     assert not violations, "upward imports:\n" + "\n".join(violations)
 
 
-def test_allow_list_has_no_stale_entries():
-    found = {(path, function, name) for path, function, name, _ in _upward_imports()}
-    stale = sorted(ALLOWED - found)
-    assert not stale, f"delete these allow-list entries, the imports are gone: {stale}"
-
-
-def test_allowed_imports_are_function_local():
-    assert all(function for _, function, _ in ALLOWED)
+def test_detector_sees_function_local_imports(tmp_path, monkeypatch):
+    (tmp_path / "noc").mkdir()
+    (tmp_path / "noc" / "sweep.py").write_text(
+        "def run():\n    from repro.core.parallel import SweepCandidate\n"
+    )
+    monkeypatch.setitem(globals(), "PACKAGE_ROOT", tmp_path)
+    assert _upward_imports() == [("noc/sweep.py", "run", "repro.core.parallel", 2)]
 
 
 def test_detector_resolves_relative_and_package_imports():

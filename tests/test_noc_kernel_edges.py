@@ -9,7 +9,10 @@ topology (two routers), saturated shallow buffers (every VC occupied,
 escape-patience churn), and degraded topologies.  Every case asserts
 bit-identical results against the legacy reference across the full mode
 grid, complementing the fixed-scenario golden fixtures of
-``test_golden_traces.py``.
+``test_golden_traces.py``.  Because traffic alone decides which side of
+a size switch a regime takes, the ``vectorized`` run of every case is
+repeated with each switch forced to either side
+(:data:`~sim_modes.FORCED_KERNEL_SWITCHES`).
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.arrangements.factory import make_arrangement
+from repro.noc import array_kernel
 from repro.noc.config import SimulationConfig
 from repro.resilience import sample_survivable_faults
 
-from sim_modes import FAST_SIM_MODES, simulate_noc
+from sim_modes import FAST_SIM_MODES, FORCED_KERNEL_SWITCHES, simulate_noc
 
 
 def _nan_to_none(value):
@@ -56,6 +60,23 @@ def _run(graph, config, rate, mode, *, faults=None):
     return _nan_to_none(asdict(result)), latencies, created
 
 
+def _assert_matches_legacy(graph, config, rate, mode, *, faults=None):
+    """Assert ``mode`` reproduces the legacy observation; return it.
+
+    In the ``vectorized`` mode the point runs again under each forced
+    kernel size switch, so both sides of every switch meet the regime.
+    """
+    legacy = _run(graph, config, rate, "legacy", faults=faults)
+    assert _run(graph, config, rate, mode, faults=faults) == legacy
+    if mode == "vectorized":
+        for name, value in FORCED_KERNEL_SWITCHES:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(array_kernel, name, value)
+                forced = _run(graph, config, rate, mode, faults=faults)
+            assert forced == legacy, f"diverged with {name} forced to {value}"
+    return legacy
+
+
 class TestEmptyGenerationSchedule:
     """Zero injection rate: the kernel's cycle loop has no work at all."""
 
@@ -64,16 +85,14 @@ class TestEmptyGenerationSchedule:
             warmup_cycles=50, measurement_cycles=100, drain_cycles=200, seed=11
         )
         graph = make_arrangement("hexamesh", 7).graph
-        legacy = _run(graph, config, 0.0, "legacy")
-        fast = _run(graph, config, 0.0, equivalent_sim_mode)
-        assert fast == legacy
-        result, latencies, created = fast
+        # Equal observations include ``cycles_simulated``: every engine
+        # agrees on the phase boundaries even with nothing to simulate.
+        result, latencies, created = _assert_matches_legacy(
+            graph, config, 0.0, equivalent_sim_mode
+        )
         assert created == 0
         assert latencies == []
         assert result["measured_packets_ejected"] == 0
-        # No traffic means nothing to drain: every engine must take the
-        # same early exit right at the measurement boundary.
-        assert result["cycles_simulated"] == legacy[0]["cycles_simulated"]
 
     def test_zero_rate_packet_size_two(self, equivalent_sim_mode):
         """Multi-flit configs disable the fused injection path; still silent."""
@@ -82,9 +101,7 @@ class TestEmptyGenerationSchedule:
             packet_size_flits=2, seed=5,
         )
         graph = make_arrangement("grid", 4).graph
-        assert _run(graph, config, 0.0, equivalent_sim_mode) == _run(
-            graph, config, 0.0, "legacy"
-        )
+        _assert_matches_legacy(graph, config, 0.0, equivalent_sim_mode)
 
 
 class TestTwoRouterTopology:
@@ -96,8 +113,7 @@ class TestTwoRouterTopology:
             warmup_cycles=50, measurement_cycles=120, drain_cycles=300, seed=3
         )
         graph = make_arrangement("grid", 2).graph
-        legacy = _run(graph, config, rate, "legacy")
-        assert _run(graph, config, rate, equivalent_sim_mode) == legacy
+        legacy = _assert_matches_legacy(graph, config, rate, equivalent_sim_mode)
         assert legacy[0]["measured_packets_ejected"] > 0
 
     def test_two_router_single_vc(self, equivalent_sim_mode):
@@ -107,9 +123,7 @@ class TestTwoRouterTopology:
             warmup_cycles=40, measurement_cycles=100, drain_cycles=250, seed=9,
         )
         graph = make_arrangement("grid", 2).graph
-        assert _run(graph, config, 0.3, equivalent_sim_mode) == _run(
-            graph, config, 0.3, "legacy"
-        )
+        _assert_matches_legacy(graph, config, 0.3, equivalent_sim_mode)
 
 
 class TestAllVcsOccupiedBackpressure:
@@ -122,8 +136,7 @@ class TestAllVcsOccupiedBackpressure:
             warmup_cycles=40, measurement_cycles=100, drain_cycles=400, seed=13,
         )
         graph = make_arrangement("hexamesh", 7).graph
-        legacy = _run(graph, config, 1.0, "legacy")
-        assert _run(graph, config, 1.0, equivalent_sim_mode) == legacy
+        legacy = _assert_matches_legacy(graph, config, 1.0, equivalent_sim_mode)
         assert legacy[0]["measured_packets_ejected"] > 0
 
     def test_impatient_escape_under_backpressure(self, equivalent_sim_mode):
@@ -133,9 +146,7 @@ class TestAllVcsOccupiedBackpressure:
             warmup_cycles=40, measurement_cycles=80, drain_cycles=300, seed=21,
         )
         graph = make_arrangement("brickwall", 9).graph
-        assert _run(graph, config, 1.0, equivalent_sim_mode) == _run(
-            graph, config, 1.0, "legacy"
-        )
+        _assert_matches_legacy(graph, config, 1.0, equivalent_sim_mode)
 
 
 class TestFaultedTopologies:
@@ -155,8 +166,9 @@ class TestFaultedTopologies:
             num_router_faults=router_faults,
             seed=41,
         )
-        legacy = _run(graph, config, 0.2, "legacy", faults=faults)
-        assert _run(graph, config, 0.2, equivalent_sim_mode, faults=faults) == legacy
+        legacy = _assert_matches_legacy(
+            graph, config, 0.2, equivalent_sim_mode, faults=faults
+        )
         assert legacy[0]["measured_packets_ejected"] > 0
 
     def test_faulted_backpressure_combination(self, equivalent_sim_mode):
@@ -167,9 +179,7 @@ class TestFaultedTopologies:
         )
         graph = make_arrangement("hexamesh", 7).graph
         faults = sample_survivable_faults(graph, num_link_faults=1, seed=53)
-        assert _run(graph, config, 1.0, equivalent_sim_mode, faults=faults) == _run(
-            graph, config, 1.0, "legacy", faults=faults
-        )
+        _assert_matches_legacy(graph, config, 1.0, equivalent_sim_mode, faults=faults)
 
 
 class TestKernelEdgeProperties:

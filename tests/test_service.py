@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 import repro.core.parallel as parallel_module
 from repro.core.parallel import InFlightRegistry, ParallelSweepRunner
+from repro.core.verify import verify_store
 from repro.service import JobManager, job_spec
 from repro.service.specs import phase_config
 from repro.service.tables import render_csv, sweep_rows
-from repro.store import ResultStore, verify_store
+from repro.store import ResultStore
 
 #: Single-value spec fields per job type (null is not allowed in any of them).
 SCALAR_FIELDS = {

@@ -12,10 +12,10 @@ engine, and ``hexamesh store verify`` replays staged entries bit-for-bit.
 from __future__ import annotations
 
 from repro.core.parallel import ParallelSweepRunner
+from repro.core.verify import verify_entry
 from repro.noc.config import SimulationConfig
 from repro.noc.simulator import NocSimulator
 from repro.store import ResultStore
-from repro.store.verify import verify_entry
 
 STAGED_CONFIG = SimulationConfig(
     warmup_cycles=40,

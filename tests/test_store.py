@@ -19,18 +19,15 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.core.parallel import ParallelSweepRunner, SweepCandidate
+from repro.core.verify import sample_keys, verify_entry, verify_store
 from repro.noc.config import SimulationConfig, config_identity_dict
 from repro.store import (
     KEY_SCHEMA,
     STORE_SCHEMA,
     ResultStore,
     StoreSchemaError,
-    candidate_from_key_dict,
     is_result_key,
     result_key,
-    sample_keys,
-    verify_entry,
-    verify_store,
 )
 
 FAST_CONFIG = SimulationConfig(warmup_cycles=40, measurement_cycles=80, drain_cycles=160)
@@ -374,7 +371,7 @@ class TestCandidateRoundTrip:
 
     def test_key_dict_inverts_exactly(self):
         for candidate in self.CANDIDATES:
-            rebuilt = candidate_from_key_dict(candidate.key_dict())
+            rebuilt = SweepCandidate.from_key_dict(candidate.key_dict())
             assert rebuilt.key_dict() == candidate.key_dict()
 
     def test_json_round_trip_inverts(self):
@@ -382,7 +379,7 @@ class TestCandidateRoundTrip:
         # (tuples flattened to lists).
         for candidate in self.CANDIDATES:
             data = json.loads(json.dumps(candidate.key_dict()))
-            rebuilt = candidate_from_key_dict(data)
+            rebuilt = SweepCandidate.from_key_dict(data)
             assert rebuilt.key_dict() == candidate.key_dict()
 
 

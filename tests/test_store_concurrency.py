@@ -19,8 +19,9 @@ import sys
 import pytest
 
 from repro.core.parallel import ParallelSweepRunner
+from repro.core.verify import verify_store
 from repro.noc.config import SimulationConfig
-from repro.store import ResultStore, verify_store
+from repro.store import ResultStore
 from repro.telemetry import SweepProgressTracker
 
 FAST_CONFIG = SimulationConfig(warmup_cycles=40, measurement_cycles=80, drain_cycles=160)
