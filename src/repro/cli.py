@@ -1097,8 +1097,8 @@ def _command_store(args: argparse.Namespace) -> int:
 
 
 def _command_bench(args: argparse.Namespace) -> int:
-    # Imported lazily: the bench harness pulls in the whole sweep /
-    # workload stack, which the other subcommands should not pay for.
+    # Only this command uses the harness module itself; the sweep and
+    # workload stack it drives is already imported at module level.
     from repro import bench
 
     if args.list_scenarios:
@@ -1154,8 +1154,6 @@ def _command_bench(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    # Imported lazily: only the service commands should pay for the
-    # service package on top of the sweep stack.
     from repro.service import JobManager, ServiceServer
 
     try:

@@ -8,6 +8,7 @@ performance proxies, link model, simulation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -50,6 +51,84 @@ class PlacedChiplet:
         return self.rect.area
 
 
+#: Footprints spanning more grid cells than this on either axis are kept
+#: out of the grid and checked against every new chiplet.
+_MAX_CELL_SPAN = 4
+
+
+class _FootprintIndex:
+    """Chiplet ids and a uniform-grid index of the footprints of a placement.
+
+    A footprint is filed under every cell ``(floor(x / cell), floor(y /
+    cell))`` its bounds touch.  Two footprints whose cell ranges are
+    disjoint on an axis cannot overlap: ``floor`` and the division by a
+    positive cell size are monotone, so disjoint ranges mean one
+    rectangle's upper bound lies strictly below the other's lower bound,
+    and ``Rect.overlaps`` then sees a negative extent.  Candidates from the
+    shared cells are checked with ``Rect.overlaps`` itself, so the index
+    only skips pairs that cannot overlap.
+    """
+
+    def __init__(self) -> None:
+        self.ids: set[int] = set()
+        self.count = 0
+        self._cell: float | None = None
+        self._cells: dict[tuple[int, int], list[int]] = {}
+        self._wide: list[int] = []
+
+    def _span(self, rect: Rect) -> tuple[int, int, int, int] | None:
+        """Cell ranges of ``rect``, or ``None`` if it is too wide to file."""
+        if self._cell is None:
+            self._cell = max(rect.width, rect.height)
+        cell = self._cell
+        try:
+            span = (
+                math.floor(rect.x / cell),
+                math.floor(rect.x_max / cell),
+                math.floor(rect.y / cell),
+                math.floor(rect.y_max / cell),
+            )
+        except (OverflowError, ValueError):
+            return None
+        if span[1] - span[0] >= _MAX_CELL_SPAN or span[3] - span[2] >= _MAX_CELL_SPAN:
+            return None
+        return span
+
+    def catch_up(self, chiplets: list[PlacedChiplet]) -> None:
+        """File the chiplets appended since the last call."""
+        for position in range(self.count, len(chiplets)):
+            chiplet = chiplets[position]
+            self.ids.add(chiplet.chiplet_id)
+            span = self._span(chiplet.rect)
+            if span is None:
+                self._wide.append(position)
+                continue
+            x_lo, x_hi, y_lo, y_hi = span
+            for column in range(x_lo, x_hi + 1):
+                for row in range(y_lo, y_hi + 1):
+                    self._cells.setdefault((column, row), []).append(position)
+        self.count = len(chiplets)
+
+    def first_overlap(
+        self, chiplets: list[PlacedChiplet], rect: Rect
+    ) -> PlacedChiplet | None:
+        """The first-inserted chiplet whose footprint overlaps ``rect``."""
+        span = self._span(rect)
+        if span is None:
+            candidates: Iterable[int] = range(len(chiplets))
+        else:
+            found = set(self._wide)
+            x_lo, x_hi, y_lo, y_hi = span
+            for column in range(x_lo, x_hi + 1):
+                for row in range(y_lo, y_hi + 1):
+                    found.update(self._cells.get((column, row), ()))
+            candidates = sorted(found)
+        for position in candidates:
+            if chiplets[position].rect.overlaps(rect):
+                return chiplets[position]
+        return None
+
+
 @dataclass
 class ChipletPlacement:
     """An ordered collection of placed chiplets.
@@ -59,6 +138,9 @@ class ChipletPlacement:
     """
 
     chiplets: list[PlacedChiplet] = field(default_factory=list)
+    _index: _FootprintIndex = field(
+        default_factory=_FootprintIndex, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         ids = [c.chiplet_id for c in self.chiplets]
@@ -83,14 +165,15 @@ class ChipletPlacement:
 
     def add(self, chiplet: PlacedChiplet) -> None:
         """Append a chiplet, enforcing id uniqueness and non-overlap."""
-        if any(c.chiplet_id == chiplet.chiplet_id for c in self.chiplets):
+        index = self._index
+        index.catch_up(self.chiplets)
+        if chiplet.chiplet_id in index.ids:
             raise ValueError(f"duplicate chiplet id {chiplet.chiplet_id}")
-        for existing in self.chiplets:
-            if existing.rect.overlaps(chiplet.rect):
-                raise ValueError(
-                    f"chiplet {chiplet.chiplet_id} overlaps chiplet "
-                    f"{existing.chiplet_id}"
-                )
+        existing = index.first_overlap(self.chiplets, chiplet.rect)
+        if existing is not None:
+            raise ValueError(
+                f"chiplet {chiplet.chiplet_id} overlaps chiplet {existing.chiplet_id}"
+            )
         self.chiplets.append(chiplet)
 
     @classmethod

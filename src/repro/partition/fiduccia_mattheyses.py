@@ -8,56 +8,30 @@ cumulative gain.  A node leaves the buckets when it moves, so the buckets
 hold exactly the unlocked nodes; after a move each unlocked neighbour's
 gain changes by +-2 (the shared edge flips between cut and uncut), which
 is the value a from-scratch recount would give.
+
+Nodes are indexed in ``graph.nodes()`` order and each gain has one list
+of indices.  The textbook selection pops the last entry of the highest
+bucket, skips it if moving it would break the balance, and re-inserts
+every skipped node (appending it to its bucket) once a legal node is
+found.  The order inside a bucket decides later ties, so that order is
+re-created without the pops:
+
+* when both sides may give a node, the first pop is legal: take the last
+  entry of the highest bucket;
+* when only side ``s`` may give, the pops walk the buckets from the
+  highest gain down.  A bucket with no side-``s`` node is popped empty and
+  refilled in pop order, i.e. reversed.  In the bucket whose last side-``s``
+  node sits at index ``i``, the entries after ``i`` are popped and
+  re-appended, so the bucket becomes ``L[:i] + reversed(L[i+1:])``;
+* when neither side may give, the pass ends.  From a balanced start on an
+  even node count at zero tolerance this holds before the first move, so
+  the call returns the start without building any bucket.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from repro.graphs.model import ChipGraph, Node
-from repro.partition.common import complement, validate_partition
-
-
-class _GainBuckets:
-    """Bucket structure mapping gain values to the unlocked nodes having them."""
-
-    def __init__(self) -> None:
-        self._buckets: dict[int, list[Node]] = defaultdict(list)
-        self._gain_of: dict[Node, int] = {}
-
-    def insert(self, node: Node, gain: int) -> None:
-        self._buckets[gain].append(node)
-        self._gain_of[node] = gain
-
-    def remove(self, node: Node) -> None:
-        gain = self._gain_of.pop(node)
-        self._buckets[gain].remove(node)
-        if not self._buckets[gain]:
-            del self._buckets[gain]
-
-    def update(self, node: Node, new_gain: int) -> None:
-        self.remove(node)
-        self.insert(node, new_gain)
-
-    def pop_best(self) -> tuple[Node, int] | None:
-        if not self._buckets:
-            return None
-        best_gain = max(self._buckets)
-        node = self._buckets[best_gain][-1]
-        self.remove(node)
-        return node, best_gain
-
-    def __contains__(self, node: Node) -> bool:
-        return node in self._gain_of
-
-    def gain(self, node: Node) -> int:
-        return self._gain_of[node]
-
-
-def _node_gain(neighbours: list[Node], own: int, side_of: dict[Node, int]) -> int:
-    """Cut-size reduction achieved by moving a node off side ``own``."""
-    internal = sum(1 for neighbour in neighbours if side_of[neighbour] == own)
-    return len(neighbours) - 2 * internal
+from repro.partition.common import validate_partition
 
 
 def fiduccia_mattheyses_refine(
@@ -90,59 +64,77 @@ def fiduccia_mattheyses_refine(
         ``balance_tolerance``.
     """
     validate_partition(graph, set(part))
-    total = graph.num_nodes
+    nodes = graph.nodes()
+    total = len(nodes)
     min_side = total // 2 - balance_tolerance
     max_side = total - min_side
 
     side_a = set(part)
-    side_b = complement(graph, side_a)
+    index = {node: position for position, node in enumerate(nodes)}
     # Neighbour lists in ``graph.neighbors`` order: the order of the gain
     # updates after a move decides the order inside a gain bucket.
-    adjacency = {node: graph.neighbors(node) for node in graph.nodes()}
+    adjacency = [[index[neighbour] for neighbour in graph.neighbors(node)] for node in nodes]
+    # Gains lie in [-degree, degree]; bucket ``level`` holds gain ``level - offset``.
+    offset = max(map(len, adjacency))
 
     for _ in range(max_passes):
-        side_of: dict[Node, int] = {}
-        for node in side_a:
-            side_of[node] = 0
-        for node in side_b:
-            side_of[node] = 1
-        sizes = [len(side_a), len(side_b)]
+        sizes = [len(side_a), total - len(side_a)]
+        if not (
+            sizes[0] - 1 >= min_side and sizes[1] + 1 <= max_side
+            or sizes[1] - 1 >= min_side and sizes[0] + 1 <= max_side
+        ):
+            break
+        side = [0 if node in side_a else 1 for node in nodes]
+        gain = [0] * total
+        buckets: list[list[int]] = [[] for _ in range(2 * offset + 1)]
+        for node, neighbours in enumerate(adjacency):
+            own = side[node]
+            internal = sum(1 for neighbour in neighbours if side[neighbour] == own)
+            gain[node] = len(neighbours) - 2 * internal
+            buckets[gain[node] + offset].append(node)
+        locked = [False] * total
+        top = 2 * offset
 
-        buckets = _GainBuckets()
-        for node in graph.nodes():
-            buckets.insert(node, _node_gain(adjacency[node], side_of[node], side_of))
-
-        moves: list[tuple[Node, int]] = []
+        moves: list[int] = []
         cumulative = 0
         best_cumulative = 0
         best_prefix = 0
 
         while True:
-            # Choose the best unlocked node whose move keeps the balance legal.
-            candidate: tuple[Node, int] | None = None
-            skipped: list[tuple[Node, int]] = []
-            while True:
-                popped = buckets.pop_best()
-                if popped is None:
+            while top >= 0 and not buckets[top]:
+                top -= 1
+            if top < 0:
+                break
+            give_a = sizes[0] - 1 >= min_side and sizes[1] + 1 <= max_side
+            give_b = sizes[1] - 1 >= min_side and sizes[0] + 1 <= max_side
+            if give_a and give_b:
+                node = buckets[top].pop()
+            elif give_a or give_b:
+                giver = 0 if give_a else 1
+                node = -1
+                for level in range(top, -1, -1):
+                    bucket = buckets[level]
+                    for position in range(len(bucket) - 1, -1, -1):
+                        if side[bucket[position]] == giver:
+                            node = bucket[position]
+                            bucket[position:] = bucket[:position:-1]
+                            break
+                    else:
+                        bucket.reverse()
+                        continue
                     break
-                node, gain = popped
-                source = side_of[node]
-                if sizes[source] - 1 >= min_side and sizes[1 - source] + 1 <= max_side:
-                    candidate = (node, gain)
+                if node < 0:
                     break
-                skipped.append((node, gain))
-            for node, gain in skipped:
-                buckets.insert(node, gain)
-            if candidate is None:
+            else:
                 break
 
-            node, gain = candidate
-            source = side_of[node]
-            side_of[node] = 1 - source
+            source = side[node]
+            side[node] = 1 - source
             sizes[source] -= 1
             sizes[1 - source] += 1
-            moves.append((node, gain))
-            cumulative += gain
+            locked[node] = True
+            moves.append(node)
+            cumulative += gain[node]
             if cumulative > best_cumulative:
                 best_cumulative = cumulative
                 best_prefix = len(moves)
@@ -150,20 +142,23 @@ def fiduccia_mattheyses_refine(
             # turns external (+2) for those left behind on the source side
             # and internal (-2) for those on the destination side.
             for neighbour in adjacency[node]:
-                if neighbour in buckets:
-                    delta = 2 if side_of[neighbour] == source else -2
-                    buckets.update(neighbour, buckets.gain(neighbour) + delta)
+                if not locked[neighbour]:
+                    old = gain[neighbour]
+                    new = old + 2 if side[neighbour] == source else old - 2
+                    gain[neighbour] = new
+                    buckets[old + offset].remove(neighbour)
+                    buckets[new + offset].append(neighbour)
+                    if new + offset > top:
+                        top = new + offset
 
         if best_prefix == 0:
             break
 
         # Apply the best prefix of moves to the real partition.
-        for node, _ in moves[:best_prefix]:
-            if node in side_a:
-                side_a.discard(node)
-                side_b.add(node)
+        for node in moves[:best_prefix]:
+            if nodes[node] in side_a:
+                side_a.discard(nodes[node])
             else:
-                side_b.discard(node)
-                side_a.add(node)
+                side_a.add(nodes[node])
 
     return side_a

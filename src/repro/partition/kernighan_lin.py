@@ -9,12 +9,16 @@ Each swap of a pass picks the first pair, in ``free A`` x ``free B`` set
 iteration order, whose swap gain is maximal: exactly the pair (tie-breaks
 included) that scanning every unlocked pair would pick, so the swap
 sequence and the refined side equal those of the textbook O(n^2)-per-swap
-search.  The search does not scan the pairs: with the free B nodes sorted
-by descending gain, the best partner of an A node is the first
-non-neighbour in that order or a neighbour before it (a shared edge costs
-2), so one swap costs O(n log n + E) and a pass O(n^2 log n + n E) instead
-of O(n^3).  After a swap only the unlocked neighbours of the swapped pair
-change gain, by +-2 per incident edge.
+search.  The search does not scan the pairs.  With ``top`` the largest
+free B gain, an A node's best partner is worth ``top`` if some free B node
+at ``top`` is not its neighbour; otherwise ``top - 1`` if some
+non-neighbour sits there, and ``top - 2`` (a shared edge costs 2) if not.
+Both lookups are ``list.index`` searches over the free B gains in set
+order, and the first hit is also the tie-winning B node.  An A node whose
+gain plus ``top`` cannot beat the best so far is skipped after one
+comparison, which is the fate of most of them.  After a swap only the
+unlocked neighbours of the swapped pair change gain, by +-2 per incident
+edge.
 """
 
 from __future__ import annotations
@@ -29,39 +33,18 @@ def _gain(neighbours: set[Node], own_side: set[Node]) -> int:
     return len(neighbours) - 2 * internal
 
 
-def _best_swap(
-    adjacency: dict[Node, set[Node]],
-    gains: dict[Node, int],
-    free_a: set[Node],
-    free_b: set[Node],
-) -> tuple[Node, Node, int]:
-    """The first pair of ``free_a`` x ``free_b`` with the largest swap gain."""
-    by_gain = sorted(free_b, key=gains.__getitem__, reverse=True)
-    top = gains[by_gain[0]]
-    best_gain: int | None = None
-    best_a: Node | None = None
-    for node_a in free_a:
-        own = gains[node_a]
-        # No partner is worth more than ``top``: this node cannot strictly win.
-        if best_gain is not None and own + top <= best_gain:
-            continue
-        neighbours = adjacency[node_a]
-        partner = None
-        for node_b in by_gain:
-            shared = node_b in neighbours
-            value = gains[node_b] - 2 * shared
-            if partner is None or value > partner:
-                partner = value
-            if not shared:
-                break
-        if best_gain is None or own + partner > best_gain:
-            best_gain = own + partner
-            best_a = node_a
-    # Ties between partners go to the first in ``free_b`` order, as in a pair scan.
-    target = best_gain - gains[best_a]
-    neighbours = adjacency[best_a]
-    best_b = next(node for node in free_b if gains[node] - 2 * (node in neighbours) == target)
-    return best_a, best_b, best_gain
+def _first_outside(
+    order: list[Node], values: list[int], value: int, excluded: set[Node]
+) -> int | None:
+    """Position of the first ``order`` entry at ``value`` not in ``excluded``."""
+    position = -1
+    try:
+        while True:
+            position = values.index(value, position + 1)
+            if order[position] not in excluded:
+                return position
+    except ValueError:
+        return None
 
 
 def kernighan_lin_refine(
@@ -102,9 +85,44 @@ def kernighan_lin_refine(
         # Build the swap sequence for this pass; every step starts with at
         # least one free node on each side.
         for _ in range(min(len(work_a), len(work_b))):
-            best_swap = _best_swap(adjacency, gains, work_a - locked, work_b - locked)
-            node_a, node_b, _ = best_swap
-            swap_sequence.append(best_swap)
+            # Fresh sets each swap: their iteration order is the pair-scan
+            # order, which decides ties.
+            free_a = work_a - locked
+            order_b = list(work_b - locked)
+            gains_b = list(map(gains.__getitem__, order_b))
+            top = max(gains_b)
+            best_gain = None
+            for node in free_a:
+                own = gains[node]
+                # No partner is worth more than ``top``: this node cannot strictly win.
+                if best_gain is not None and own + top <= best_gain:
+                    continue
+                neighbours = adjacency[node]
+                position = _first_outside(order_b, gains_b, top, neighbours)
+                if position is not None:
+                    value = own + top
+                else:
+                    # Every top-gain node is a neighbour (worth ``top - 2``);
+                    # only a non-neighbour at ``top - 1`` beats that.
+                    if best_gain is not None and own + top - 1 <= best_gain:
+                        continue
+                    position = _first_outside(order_b, gains_b, top - 1, neighbours)
+                    value = own + top - (1 if position is not None else 2)
+                if best_gain is None or value > best_gain:
+                    best_gain = value
+                    node_a = node
+                    best_position = position
+            if best_position is not None:
+                node_b = order_b[best_position]
+            else:
+                # Partner worth ``top - 2``: a top-gain neighbour or a
+                # non-neighbour two below the top, whichever comes first.
+                target = top - 2
+                neighbours = adjacency[node_a]
+                node_b = next(
+                    node for node in order_b if gains[node] - 2 * (node in neighbours) == target
+                )
+            swap_sequence.append((node_a, node_b, best_gain))
             locked.update((node_a, node_b))
             # Update gains as if the swap had been applied: node_a left A
             # and node_b joined it.

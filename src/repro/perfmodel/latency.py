@@ -12,11 +12,17 @@ fully determined by its path:
 Averaging over all ordered endpoint pairs — including the pairs that share
 a chiplet and therefore traverse a single router — gives the value the
 cycle-accurate simulator converges to at very low injection rates.
+
+:func:`zero_load_latency_cycles` builds the neighbour lists once per call
+and runs one BFS per source over them.  The weighted latency of a router
+pair depends only on its hop count, so it is computed once per distinct
+hop count, but it is still added once per pair, in BFS discovery order:
+the float sum is bit for bit the one a pair-by-pair loop over
+``bfs_distances`` gives, whatever the configuration.
 """
 
 from __future__ import annotations
 
-from repro.graphs.metrics import bfs_distances
 from repro.graphs.model import ChipGraph
 from repro.noc.config import SimulationConfig
 
@@ -65,16 +71,33 @@ def zero_load_latency_cycles(
         total_pairs += same_router_pairs
 
     # Pairs on different chiplets: weight each router pair by the number of
-    # endpoint pairs it carries.
+    # endpoint pairs it carries.  A level-by-level BFS from each source
+    # meets the destinations in ``bfs_distances`` order, and each one adds
+    # the term of its hop count, so the float sum matches a pair-by-pair
+    # loop bit for bit.
     pair_weight = endpoints_per_chiplet * endpoints_per_chiplet
-    for source in graph.nodes():
-        distances = bfs_distances(graph, source)
-        if len(distances) != num_routers:
+    neighbours = {node: graph.neighbors(node) for node in graph.nodes()}
+    # ``hop_terms[h]``: the weighted latency of one router pair ``h`` hops apart.
+    hop_terms = [pair_weight * packet_path_latency_cycles(0, config)]
+    for source in neighbours:
+        seen = {source}
+        frontier = [source]
+        hops = 0
+        while frontier:
+            hops += 1
+            if hops == len(hop_terms):
+                hop_terms.append(pair_weight * packet_path_latency_cycles(hops, config))
+            term = hop_terms[hops]
+            reached = []
+            for current in frontier:
+                for neighbour in neighbours[current]:
+                    if neighbour not in seen:
+                        seen.add(neighbour)
+                        reached.append(neighbour)
+                        total_latency += term
+            frontier = reached
+        if len(seen) != num_routers:
             raise ValueError("zero-load latency is undefined for disconnected graphs")
-        for destination, hops in distances.items():
-            if destination == source:
-                continue
-            total_latency += pair_weight * packet_path_latency_cycles(hops, config)
-            total_pairs += pair_weight
+    total_pairs += num_routers * (num_routers - 1) * pair_weight
 
     return total_latency / total_pairs

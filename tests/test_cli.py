@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import csv
+import io
+import os
+
 import pytest
 
 from repro.cli import main
@@ -41,6 +45,29 @@ class TestFigureCommand:
         assert "FIG7a" in content
         assert "FIG7d" in content
 
+    def test_figure7_matches_golden_up_to_52(self, tmp_path):
+        # tests/goldens/figure7_analytical.csv is `repro figure 7` (2-100),
+        # one CSV block per panel.  Its headers and its per-count rows up to
+        # 52 chiplets are what `--max-chiplets 52` prints; the averages over
+        # the whole range (`window=all`) depend on the range and are left out.
+        def rows(path):
+            kept = []
+            with open(path, newline="") as handle:
+                for line in handle.read().splitlines(keepends=True):
+                    fields = next(csv.reader(io.StringIO(line)))
+                    if fields[0] == "experiment":
+                        count_column = fields.index("number of chiplets")
+                        kept.append(line)
+                    elif "window=" not in fields[-1] and float(fields[count_column]) <= 52:
+                        kept.append(line)
+            return kept
+
+        golden = os.path.join(os.path.dirname(__file__), "goldens", "figure7_analytical.csv")
+        target = tmp_path / "fig7.csv"
+        assert main(["figure", "7", "--max-chiplets", "52", "--output", str(target)]) == 0
+        produced = rows(target)
+        assert len(produced) == 4 + 2 * 3 * 51 + 2 * 2 * 51
+        assert produced == rows(golden)
 
 class TestSimulateCommand:
     def test_simulate_small_design(self, capsys):

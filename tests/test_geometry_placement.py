@@ -1,9 +1,11 @@
 """Unit tests for repro.geometry.placement."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.placement import ChipletPlacement, PlacedChiplet
-from repro.geometry.primitives import Rect
+from repro.geometry.primitives import GEOMETRY_TOLERANCE, Rect
 
 
 def _chiplet(chiplet_id, x, y, w=1.0, h=1.0, role="compute"):
@@ -99,3 +101,90 @@ class TestChipletPlacement:
     def test_iteration_preserves_order(self):
         placement = ChipletPlacement([_chiplet(2, 0, 0), _chiplet(5, 1, 0)])
         assert [c.chiplet_id for c in placement] == [2, 5]
+
+    def test_index_stays_out_of_repr_and_equality(self):
+        added = ChipletPlacement()
+        added.add(_chiplet(0, 0, 0))
+        added.add(_chiplet(1, 1, 0))
+        built = ChipletPlacement([_chiplet(0, 0, 0), _chiplet(1, 1, 0)])
+        assert added == built
+        assert repr(added) == repr(built)
+        assert "index" not in repr(added)
+
+
+# Coordinates on a half-millimetre lattice, nudged by less than the
+# tolerance, so edges often touch exactly or within the tolerance.
+_coordinate = st.builds(
+    lambda step, nudge: step * 0.5 + nudge,
+    st.integers(min_value=-20, max_value=20),
+    st.sampled_from([0.0, GEOMETRY_TOLERANCE / 2, -GEOMETRY_TOLERANCE / 2]),
+)
+# Mixed sizes: the first footprint sets the index's cell size, and later
+# ones may be far smaller or span many cells.
+_size = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 12.0, 40.0])
+
+
+class TestAddMatchesBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(st.integers(0, 30), _coordinate, _coordinate, _size, _size),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_add_raises_exactly_when_a_scan_finds_a_conflict(self, entries):
+        placement = ChipletPlacement()
+        accepted = []
+        for chiplet_id, x, y, width, height in entries:
+            chiplet = PlacedChiplet(chiplet_id=chiplet_id, rect=Rect(x, y, width, height))
+            if any(existing.chiplet_id == chiplet_id for existing in accepted):
+                expected = f"duplicate chiplet id {chiplet_id}"
+            else:
+                first = next(
+                    (existing for existing in accepted if existing.rect.overlaps(chiplet.rect)),
+                    None,
+                )
+                expected = (
+                    None
+                    if first is None
+                    else f"chiplet {chiplet_id} overlaps chiplet {first.chiplet_id}"
+                )
+            if expected is None:
+                placement.add(chiplet)
+                accepted.append(chiplet)
+            else:
+                with pytest.raises(ValueError) as raised:
+                    placement.add(chiplet)
+                assert str(raised.value) == expected
+        assert placement.chiplets == accepted
+        assert not placement.has_overlaps()
+
+    def test_edges_touching_within_tolerance_pass(self):
+        placement = ChipletPlacement([_chiplet(0, 0.0, 0.0)])
+        placement.add(_chiplet(1, 1.0 - GEOMETRY_TOLERANCE / 2, 0.0))
+        placement.add(_chiplet(2, 0.0, 1.0 - GEOMETRY_TOLERANCE / 2))
+        with pytest.raises(ValueError, match="chiplet 3 overlaps chiplet 0"):
+            placement.add(_chiplet(3, 1.0 - 2 * GEOMETRY_TOLERANCE, -0.5))
+
+    def test_overlap_names_the_first_inserted_chiplet(self):
+        # Chiplet 0 sets a 0.5 mm index cell, so chiplet 1 (20 mm wide) is
+        # too wide to file; the newcomer overlaps both 1 and 2 and the
+        # message names 1, the earlier of the two.
+        placement = ChipletPlacement()
+        placement.add(_chiplet(0, 0.0, 0.0, 0.5, 0.5))
+        placement.add(_chiplet(1, 5.0, 5.0, 20.0, 0.5))
+        placement.add(_chiplet(2, 6.0, 4.0, 0.5, 0.5))
+        with pytest.raises(ValueError, match="chiplet 3 overlaps chiplet 1$"):
+            placement.add(_chiplet(3, 5.9, 4.2, 0.4, 1.0))
+
+    def test_overlap_names_the_earliest_of_several_filed_chiplets(self):
+        # Chiplets 1 and 8 share grid cells with the newcomer, which
+        # overlaps both; the message names 1 whatever order the index
+        # yields them in.
+        placement = ChipletPlacement([_chiplet(0, 0.0, 0.0), _chiplet(1, 10.0, 10.0)])
+        for chiplet_id in range(2, 8):
+            placement.add(_chiplet(chiplet_id, 20.0 + 2 * chiplet_id, 0.0))
+        placement.add(_chiplet(8, 11.0, 10.0))
+        with pytest.raises(ValueError, match="chiplet 9 overlaps chiplet 1$"):
+            placement.add(_chiplet(9, 10.5, 10.0))

@@ -439,12 +439,12 @@ def _estimator_starts(graph, monkeypatch):
     return starts
 
 
-def _assert_refinements_match_oracles(graph, starts):
+def _assert_refinements_match_oracles(graph, starts, balance_tolerance=0):
     for start in starts:
         assert kernighan_lin_refine(graph, start) == _oracle_kernighan_lin(graph, start)
-        assert fiduccia_mattheyses_refine(graph, start) == _oracle_fiduccia_mattheyses(
-            graph, start
-        )
+        assert fiduccia_mattheyses_refine(
+            graph, start, balance_tolerance=balance_tolerance
+        ) == _oracle_fiduccia_mattheyses(graph, start, balance_tolerance=balance_tolerance)
 
 
 def _figure7_designs(counts):
@@ -498,7 +498,19 @@ class TestRefinementMatchesOracle:
         start = data.draw(
             st.sets(st.sampled_from(nodes), min_size=1, max_size=size - 1), label="start"
         )
-        _assert_refinements_match_oracles(graph, [start])
+        # A positive tolerance lets both sides give a node, so FM takes its
+        # node straight off the top bucket instead of walking the buckets.
+        tolerance = data.draw(st.integers(min_value=0, max_value=3), label="tolerance")
+        _assert_refinements_match_oracles(graph, [start], balance_tolerance=tolerance)
+
+    @pytest.mark.parametrize("kind, count", [("grid", 16), ("hexamesh", 36), ("brickwall", 2)])
+    def test_fm_returns_even_balanced_start_unchanged(self, kind, count):
+        # At zero tolerance neither side of an even, balanced bisection may
+        # give a node, so no move is legal and the start is already final.
+        graph = make_arrangement(kind, count).graph
+        start = set(graph.nodes()[: count // 2])
+        assert fiduccia_mattheyses_refine(graph, start) == start
+        assert _oracle_fiduccia_mattheyses(graph, start) == start
 
 
 # -- Pinned cuts: the portfolio's answer for every Figure 7 design -----------

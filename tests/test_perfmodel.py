@@ -3,6 +3,8 @@
 import pytest
 
 from repro.arrangements.factory import make_arrangement
+from repro.evaluation.performance import FIGURE7_KINDS
+from repro.graphs.metrics import bfs_distances
 from repro.graphs.model import ChipGraph
 from repro.noc.config import SimulationConfig
 from repro.perfmodel.latency import packet_path_latency_cycles, zero_load_latency_cycles
@@ -72,6 +74,42 @@ class TestZeroLoadLatency:
         graph = ChipGraph(nodes=[0, 1, 2], edges=[(0, 1)])
         with pytest.raises(ValueError):
             zero_load_latency_cycles(graph)
+
+
+def _oracle_zero_load_latency(graph, config):
+    """Verbatim per-pair sum: every ordered router pair adds its own term."""
+    num_routers = graph.num_nodes
+    endpoints_per_chiplet = config.endpoints_per_chiplet
+    total_latency = 0.0
+    total_pairs = 0
+    same_router_pairs = num_routers * endpoints_per_chiplet * (endpoints_per_chiplet - 1)
+    if same_router_pairs:
+        total_latency += same_router_pairs * packet_path_latency_cycles(0, config)
+        total_pairs += same_router_pairs
+    pair_weight = endpoints_per_chiplet * endpoints_per_chiplet
+    for source in graph.nodes():
+        for destination, hops in bfs_distances(graph, source).items():
+            if destination == source:
+                continue
+            total_latency += pair_weight * packet_path_latency_cycles(hops, config)
+            total_pairs += pair_weight
+    return total_latency / total_pairs
+
+
+class TestZeroLoadLatencyMatchesOracle:
+    """The per-hop-term sum is bit-identical to the pair-by-pair sum."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [SimulationConfig(), SimulationConfig(link_latency_cycles=27.3, endpoints_per_chiplet=3)],
+        ids=["default", "fractional-link-3-endpoints"],
+    )
+    @pytest.mark.parametrize("kind", [kind.value for kind in FIGURE7_KINDS])
+    def test_figure7_designs_up_to_52(self, kind, config):
+        for count in range(2, 53):
+            graph = make_arrangement(kind, count).graph
+            expected = _oracle_zero_load_latency(graph, config)
+            assert zero_load_latency_cycles(graph, config) == expected, count
 
 
 class TestChannelLoads:
