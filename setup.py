@@ -6,15 +6,23 @@ modern ``pip install -e .`` needs for PEP 660 editable wheels — can still
 perform a development install via ``python setup.py develop``.
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# Read the version as text: importing the package would need its
+# dependencies installed before setup runs.
+INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', INIT.read_text(encoding="utf-8"), re.M).group(1)
 
 setup(
     name="hexamesh-repro",
-    version="0.4.0",
+    version=VERSION,
     description=(
         "Reproduction of the HexaMesh (DAC 2023) chiplet-arrangement study: "
         "arrangement generators, D2D link model, cycle-accurate NoC simulator "
-        "with three bit-identical engines, parallel sweeps, workloads and "
+        "with two bit-identical engines, parallel sweeps, workloads and "
         "fault-injection resilience analysis"
     ),
     package_dir={"": "src"},

@@ -58,18 +58,15 @@ from repro.linkmodel.package import check_package_feasibility
 from repro.noc.engine import DEFAULT_ENGINE, ENGINE_NAMES
 from repro.noc.faults import FaultSet
 from repro.noc.simulator import BatchPoint, NocSimulator
-from repro.noc.traffic import available_traffic_patterns
 from repro.resilience.sweep import (
     EXPLICIT_FAULT_TYPE,
-    FAULT_TYPES,
     normalize_injection_rates,
     summarize_records,
 )
 from repro.service.jobs import run_job
 from repro.service.specs import (
     ARRANGEMENT_KINDS,
-    FIGURE7_MODES,
-    REGULARITIES,
+    SPEC_FIELDS,
     JobSpec,
     job_spec,
     phase_config,
@@ -87,16 +84,10 @@ from repro.telemetry import (
     progress_from_dict,
 )
 from repro.viz.svg import placement_svg, save_svg
-from repro.workloads import available_mappers, available_workloads
 
 
-def _parse_list(text: str | None, *, kind: type, all_values: tuple = ()) -> list | None:
-    """Parse a comma-separated CLI list, expanding the ``"all"`` shorthand.
-
-    An unset flag (``None``) stays ``None``, leaving the spec default.
-    """
-    if text is None:
-        return None
+def _parse_list(text: str, *, kind: type, all_values: tuple | None = None) -> list:
+    """Parse a comma-separated CLI list, expanding the ``"all"`` shorthand."""
     stripped = text.strip()
     if stripped.lower() == "all":
         if not all_values:
@@ -128,35 +119,40 @@ def _emit_table(output: str | None, header: list[str], rows: list[list]) -> None
         print(format_table(header, rows))
 
 
-def _spec(job_type: str, **fields) -> JobSpec:
-    """Validate the job spec a command runs.
+def _spec(job_type: str, args: argparse.Namespace) -> JobSpec:
+    """Validate the job spec a command's table-built flags describe.
 
     Unset flags (``None``) are left out, so the spec's own defaults apply.
     """
-    raw = {name: value for name, value in fields.items() if value is not None}
-    return job_spec({"type": job_type, **raw})
+    raw = {"type": job_type}
+    for name, field in SPEC_FIELDS[job_type].items():
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if field.listed:
+            value = _parse_list(value, kind=field.element, all_values=field.valid_values())
+        raw[name] = value
+    return job_spec(raw)
 
 
-def _run_flags(args: argparse.Namespace) -> dict:
-    """The simulation-run flags ``sweep``/``workload``/``faults`` share."""
-    return {"cycles": args.cycles, "seed": args.seed, "jobs": args.jobs, "engine": args.engine}
+def _warn_ignored(spec: JobSpec, args: argparse.Namespace, names, reason: str) -> None:
+    """Warn about the options in ``names`` set away from their default that this run ignores.
 
-
-def _warn_ignored(spec: JobSpec, args: argparse.Namespace, flags, reason: str) -> None:
-    """Warn about the ``flags`` set away from their default that this run ignores.
-
-    A flag's spec field is its name without dashes (``--sim-points`` is
-    ``sim_points``); ``--cache-dir`` is no spec field and counts when given.
+    ``names`` are spec fields, reported by their table flag, or
+    ``cache_dir``, which is no spec field and counts when given.
     """
-    default = job_spec({"type": spec.job_type})
+    fields = SPEC_FIELDS[spec.job_type]
 
-    def changed(flag: str) -> bool:
-        if flag == "--cache-dir":
+    def changed(name: str) -> bool:
+        if name == "cache_dir":
             return args.cache_dir is not None
-        field = flag[2:].replace("-", "_")
-        return spec.param(field) != default.param(field)
+        return spec.param(name) != fields[name].default
 
-    ignored = [flag for flag in flags if changed(flag)]
+    ignored = [
+        "--cache-dir" if name == "cache_dir" else fields[name].flag
+        for name in names
+        if changed(name)
+    ]
     if ignored:
         print(f"warning: {', '.join(ignored)} {reason}", file=sys.stderr)
 
@@ -167,6 +163,33 @@ def _run_spec(spec: JobSpec, args: argparse.Namespace) -> dict:
     payload = run_job(spec, cache_dir=args.cache_dir, progress=report_progress)
     finish_progress()
     return payload
+
+
+def _add_spec_command(subparsers, command: str, job_type: str, *, help: str):
+    """Add a subcommand with one flag per field of ``job_type``'s spec table.
+
+    The flags have no defaults of their own: an unset flag stays ``None``
+    and :func:`_spec` leaves it out, so the spec default applies.  Every
+    such command also takes the CLI-only ``--cache-dir`` and ``--output``.
+    """
+    parser = subparsers.add_parser(command, help=help)
+    for name, field in SPEC_FIELDS[job_type].items():
+        values = field.valid_values()
+        if field.listed:
+            shorthand = ', or "all"' if values else ""
+            parser.add_argument(
+                field.flag,
+                dest=name,
+                metavar=field.flag[2:].upper(),
+                help=f"comma list of {field.help}{shorthand}",
+            )
+        else:
+            parser.add_argument(
+                field.flag, dest=name, type=field.element, choices=values, help=field.help
+            )
+    parser.add_argument("--cache-dir", default=None, help="persistent result store directory")
+    parser.add_argument("--output", default=None, help="CSV output path (default: stdout)")
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -185,25 +208,10 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("chiplets", type=int)
     compare.add_argument("--baseline", choices=ARRANGEMENT_KINDS, default="grid")
 
-    figure = subparsers.add_parser("figure", help="regenerate Figure 6 or Figure 7 data")
+    figure = _add_spec_command(
+        subparsers, "figure", "figure7", help="regenerate Figure 6 or Figure 7 data"
+    )
     figure.add_argument("number", choices=("6", "7"))
-    figure.add_argument("--max-chiplets", type=int)
-    figure.add_argument("--output", default=None, help="CSV output path (default: stdout)")
-    figure.add_argument("--mode", choices=FIGURE7_MODES, help="Figure 7 evaluation engine")
-    figure.add_argument(
-        "--sim-points",
-        default=None,
-        help="comma list of chiplet counts to simulate (hybrid mode)",
-    )
-    figure.add_argument("--jobs", type=int, help="worker processes for cycle-accurate points")
-    figure.add_argument(
-        "--cache-dir", default=None, help="persistent result store for cycle-accurate results"
-    )
-    figure.add_argument(
-        "--engine",
-        choices=ENGINE_NAMES,
-        help="cycle-loop engine for cycle-accurate points (all engines are bit-identical)",
-    )
 
     simulate = subparsers.add_parser("simulate", help="run the cycle-accurate simulator")
     simulate.add_argument("kind", choices=ARRANGEMENT_KINDS)
@@ -279,104 +287,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "are bit-identical",
     )
 
-    sweep = subparsers.add_parser(
+    sweep = _add_spec_command(
+        subparsers,
+        "sweep",
         "sweep",
         help="parallel cycle-accurate sweep over (kind x chiplets x rate x traffic)",
     )
-    sweep.add_argument("--kinds", help='comma list of arrangement kinds, or "all"')
-    sweep.add_argument("--chiplets", help="comma list of chiplet counts")
-    sweep.add_argument("--rates", help="comma list of injection rates (flits/cycle/endpoint)")
-    sweep.add_argument("--traffic", help='comma list of traffic patterns, or "all"')
-    sweep.add_argument(
-        "--regularity",
-        choices=REGULARITIES,
-        default=None,
-        help="force one regularity class for every arrangement "
-        "(default: best available per chiplet count)",
-    )
-    sweep.add_argument("--jobs", type=int, help="worker processes")
-    sweep.add_argument(
-        "--cache-dir", default=None, help="persistent result store directory"
-    )
-    sweep.add_argument(
-        "--cycles", type=int, help="measurement cycles (warm-up and drain scale with it)"
-    )
-    sweep.add_argument("--seed", type=int, help="base RNG seed")
-    sweep.add_argument(
-        "--engine", choices=ENGINE_NAMES, help="cycle-loop engine (all engines are bit-identical)"
-    )
-    sweep.add_argument("--output", default=None, help="CSV output path (default: table)")
-    sweep.add_argument(
-        "--progress",
-        choices=("plain", "detail", "quiet"),
-        default="plain",
-        help="progress rendering: plain per-candidate lines, "
-        "detail adds rate/ETA/cache-ratio per line, "
-        "quiet suppresses everything but the end summary",
-    )
-
-    workload = subparsers.add_parser(
+    workload = _add_spec_command(
+        subparsers,
+        "workload",
         "workload",
         help="map application task graphs onto arrangements and simulate them",
     )
-    workload.add_argument("--kind", help='comma list of workload kinds, or "all"')
-    workload.add_argument("--chiplets", help="comma list of chiplet counts")
-    workload.add_argument("--arrangement", help='comma list of arrangement kinds, or "all"')
-    workload.add_argument("--mapper", help='comma list of mappers, or "all"')
-    workload.add_argument(
-        "--regularity",
-        choices=REGULARITIES,
-        default=None,
-        help="force one regularity class for every arrangement "
-        "(default: best available per chiplet count)",
-    )
-    workload.add_argument(
-        "--tasks", type=int, help="tasks per workload (default: the chiplet count)"
-    )
-    workload.add_argument(
-        "--injection-rate", type=float, help="offered load of the heaviest source endpoint"
-    )
-    workload.add_argument(
-        "--cycles", type=int, help="measurement cycles (warm-up and drain scale with it)"
-    )
-    workload.add_argument("--seed", type=int, help="base RNG seed")
-    workload.add_argument(
-        "--engine", choices=ENGINE_NAMES, help="cycle-loop engine (all engines are bit-identical)"
-    )
-    workload.add_argument("--jobs", type=int, help="worker processes")
-    workload.add_argument(
-        "--cache-dir", default=None, help="persistent result store directory"
-    )
-    workload.add_argument("--output", default=None, help="CSV output path (default: table)")
-    workload.add_argument(
-        "--progress",
-        choices=("plain", "detail", "quiet"),
-        default="plain",
-        help="progress rendering (see sweep --progress)",
-    )
-
-    faults = subparsers.add_parser(
+    faults = _add_spec_command(
+        subparsers,
         "faults",
+        "resilience",
         help="fault-injection resilience sweep: per-arrangement degradation "
         "vs. number of failed links/routers",
-    )
-    faults.add_argument("--kinds", help='comma list of arrangement kinds, or "all"')
-    faults.add_argument("--chiplets", type=int, help="chiplet count shared by every arrangement")
-    faults.add_argument(
-        "--regularity",
-        choices=REGULARITIES,
-        default=None,
-        help="force one regularity class for every arrangement "
-        "(default: best available per chiplet count)",
-    )
-    faults.add_argument(
-        "--failures", help="comma list of failure counts (include 0 for the baseline)"
-    )
-    faults.add_argument(
-        "--fault-type", choices=FAULT_TYPES, help="what fails: links, routers, or an even mix"
-    )
-    faults.add_argument(
-        "--samples", type=int, help="independent fault draws per (kind, failure count)"
     )
     faults.add_argument(
         "--fail-links",
@@ -390,34 +318,15 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="ROUTERS",
         help='explicit failed router ids, e.g. "3,8"',
     )
-    faults.add_argument("--injection-rate", type=float)
-    faults.add_argument(
-        "--injection-rates",
-        default=None,
-        metavar="RATES",
-        help="comma list of injection rates; sweeping several turns each "
-        "degradation curve into a degradation surface (rows gain a rate "
-        "column) and overrides --injection-rate",
-    )
-    faults.add_argument("--traffic")
-    faults.add_argument(
-        "--cycles", type=int, help="measurement cycles (warm-up and drain scale with it)"
-    )
-    faults.add_argument("--seed", type=int, help="base RNG seed (also seeds the fault sampling)")
-    faults.add_argument("--jobs", type=int, help="worker processes")
-    faults.add_argument(
-        "--cache-dir", default=None, help="persistent result store directory"
-    )
-    faults.add_argument(
-        "--engine", choices=ENGINE_NAMES, help="cycle-loop engine (all engines are bit-identical)"
-    )
-    faults.add_argument("--output", default=None, help="CSV output path (default: table)")
-    faults.add_argument(
-        "--progress",
-        choices=("plain", "detail", "quiet"),
-        default="plain",
-        help="progress rendering (see sweep --progress)",
-    )
+    for command in (sweep, workload, faults):
+        command.add_argument(
+            "--progress",
+            choices=("plain", "detail", "quiet"),
+            default="plain",
+            help="progress rendering: plain per-candidate lines, "
+            "detail adds rate/ETA/cache-ratio per line, "
+            "quiet suppresses everything but the end summary",
+        )
 
     store = subparsers.add_parser(
         "store",
@@ -662,19 +571,12 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 
 def _command_figure(args: argparse.Namespace) -> int:
-    spec = _spec(
-        "figure7",
-        max_chiplets=args.max_chiplets,
-        mode=args.mode,
-        sim_points=_parse_list(args.sim_points, kind=int),
-        jobs=args.jobs,
-        engine=args.engine,
-    )
+    spec = _spec("figure7", args)
     if args.number == "6":
         _warn_ignored(
             spec,
             args,
-            ("--mode", "--sim-points", "--jobs", "--cache-dir", "--engine"),
+            ("mode", "sim_points", "jobs", "cache_dir", "engine"),
             "only apply to figure 7; figure 6 is always analytical",
         )
         figure6 = run_figure6(range(1, spec.param("max_chiplets") + 1))
@@ -686,7 +588,7 @@ def _command_figure(args: argparse.Namespace) -> int:
             _warn_ignored(
                 spec,
                 args,
-                ("--sim-points", "--jobs", "--cache-dir", "--engine"),
+                ("sim_points", "jobs", "cache_dir", "engine"),
                 "only apply to figure 7 hybrid/simulation modes; "
                 "--mode analytical never simulates",
             )
@@ -863,34 +765,9 @@ def _command_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_sweep(args: argparse.Namespace) -> int:
-    spec = _spec(
-        "sweep",
-        kinds=_parse_list(args.kinds, kind=str, all_values=ARRANGEMENT_KINDS),
-        chiplets=_parse_list(args.chiplets, kind=int),
-        rates=_parse_list(args.rates, kind=float),
-        traffic=_parse_list(args.traffic, kind=str, all_values=available_traffic_patterns()),
-        regularity=args.regularity,
-        **_run_flags(args),
-    )
-    payload = _run_spec(spec, args)
-    _emit_table(args.output, payload["header"], payload["rows"])
-    return 0
-
-
-def _command_workload(args: argparse.Namespace) -> int:
-    spec = _spec(
-        "workload",
-        workloads=_parse_list(args.kind, kind=str, all_values=available_workloads()),
-        arrangements=_parse_list(args.arrangement, kind=str, all_values=ARRANGEMENT_KINDS),
-        chiplets=_parse_list(args.chiplets, kind=int),
-        mappers=_parse_list(args.mapper, kind=str, all_values=available_mappers()),
-        tasks=args.tasks,
-        injection_rate=args.injection_rate,
-        regularity=args.regularity,
-        **_run_flags(args),
-    )
-    payload = _run_spec(spec, args)
+def _command_spec_table(args: argparse.Namespace) -> int:
+    """``sweep`` and ``workload``: run the command's job spec, emit its table."""
+    payload = _run_spec(_spec(args.command, args), args)
     _emit_table(args.output, payload["header"], payload["rows"])
     return 0
 
@@ -904,7 +781,7 @@ def _explicit_fault_rows(spec: JobSpec, args: argparse.Namespace) -> list[list]:
     _warn_ignored(
         spec,
         args,
-        ("--failures", "--samples", "--fault-type"),
+        ("failures", "samples", "fault_type"),
         "only apply to sampled sweeps; --fail-links/--fail-routers run exactly the given scenario",
     )
     fault_set = FaultSet.parse(args.fail_links or "", args.fail_routers or "")
@@ -958,19 +835,7 @@ def _explicit_fault_rows(spec: JobSpec, args: argparse.Namespace) -> list[list]:
 def _command_faults(args: argparse.Namespace) -> int:
     # The explicit --fail-links/--fail-routers scenario has no spec field;
     # it runs its own candidates but validates through the same spec.
-    spec = _spec(
-        "resilience",
-        kinds=_parse_list(args.kinds, kind=str, all_values=ARRANGEMENT_KINDS),
-        chiplets=args.chiplets,
-        failures=_parse_list(args.failures, kind=int),
-        fault_type=args.fault_type,
-        samples=args.samples,
-        injection_rate=args.injection_rate,
-        injection_rates=_parse_list(args.injection_rates, kind=float),
-        traffic=args.traffic,
-        regularity=args.regularity,
-        **_run_flags(args),
-    )
+    spec = _spec("resilience", args)
     if args.fail_links is None and args.fail_routers is None:
         rows = _run_spec(spec, args)["rows"]
     else:
@@ -1359,8 +1224,8 @@ _COMMANDS = {
     "figure": _command_figure,
     "simulate": _command_simulate,
     "trace": _command_trace,
-    "sweep": _command_sweep,
-    "workload": _command_workload,
+    "sweep": _command_spec_table,
+    "workload": _command_spec_table,
     "faults": _command_faults,
     "store": _command_store,
     "serve": _command_serve,

@@ -56,6 +56,9 @@ FIGURE7_KINDS: tuple[ArrangementKind, ...] = (
     ArrangementKind.HEXAMESH,
 )
 
+#: Figure 7 evaluation modes.
+FIGURE7_MODES = ("analytical", "hybrid", "simulation")
+
 
 @dataclass(frozen=True)
 class Figure7Point:
@@ -379,7 +382,7 @@ def run_figure7(
         :class:`~repro.core.parallel.InFlightRegistry` deduplicating the
         cycle-accurate points against concurrent sweeps in this process.
     """
-    check_in_choices("mode", mode, ("analytical", "simulation", "hybrid"))
+    check_in_choices("mode", mode, FIGURE7_MODES)
     check_in_choices("noc_engine", noc_engine, ENGINE_NAMES)
     if chiplet_counts is None:
         chiplet_counts = range(2, 101)

@@ -13,7 +13,7 @@ import time
 from typing import Sequence
 
 from repro.evaluation.headline import compute_headline_claims
-from repro.evaluation.performance import run_figure7, run_link_bandwidth_table
+from repro.evaluation.performance import FIGURE7_MODES, run_figure7, run_link_bandwidth_table
 from repro.evaluation.proxies import figure4_annotations, run_figure6
 from repro.evaluation.series import ExperimentResult
 from repro.linkmodel.parameters import EvaluationParameters
@@ -58,7 +58,7 @@ def run_all_experiments(
     cache_dir:
         Optional on-disk result cache for the cycle-accurate points.
     """
-    check_in_choices("mode", mode, ("analytical", "simulation", "hybrid"))
+    check_in_choices("mode", mode, FIGURE7_MODES)
     if parameters is None:
         parameters = EvaluationParameters()
 

@@ -29,8 +29,8 @@ simulator with the same modelled structure:
   batched simulator paths,
 * :mod:`repro.noc.simulator` — the simulation driver with warm-up,
   measurement and drain phases,
-* :mod:`repro.noc.sweep` — injection-rate sweeps, zero-load latency and
-  saturation-throughput extraction.
+* :mod:`repro.noc.sweep` — injection-rate sweeps: the latency /
+  throughput curve of one design.
 """
 
 from repro.noc.config import SimulationConfig
@@ -48,8 +48,6 @@ from repro.noc.simulator import BatchPoint, NocSimulator, SimulationResult
 from repro.noc.stats import LatencyStatistics, ThroughputStatistics
 from repro.noc.sweep import (
     InjectionSweepResult,
-    measure_saturation_throughput,
-    measure_zero_load_latency,
     run_injection_sweep,
 )
 from repro.noc.traffic import (
@@ -91,8 +89,6 @@ __all__ = [
     "apply_faults",
     "available_traffic_patterns",
     "make_traffic_pattern",
-    "measure_saturation_throughput",
-    "measure_zero_load_latency",
     "run_injection_sweep",
     "run_legacy_loop",
 ]

@@ -1,4 +1,4 @@
-"""Injection-rate sweeps: zero-load latency and saturation throughput.
+"""Injection-rate sweeps: the latency / throughput curve of one design.
 
 Section VI of the paper reports two numbers per design point:
 
@@ -8,12 +8,9 @@ Section VI of the paper reports two numbers per design point:
   sustain, reported by BookSim2 as a fraction of the full global
   bandwidth and converted into Tb/s with the link-bandwidth model.
 
-:func:`measure_saturation_throughput` drives every endpoint at full
-injection rate and reports the accepted flit rate — the plateau of the
-throughput-vs-offered-load curve — in one simulation;
-:func:`run_injection_sweep` returns the whole curve, whose
-:attr:`~InjectionSweepResult.saturation_throughput` is the maximum
-accepted rate observed.
+:func:`run_injection_sweep` returns the throughput-vs-offered-load
+curve, whose :attr:`~InjectionSweepResult.saturation_throughput` is the
+maximum accepted rate observed.
 
 These helpers only simulate.  Cached or parallel sweeps go through
 :class:`repro.core.parallel.ParallelSweepRunner` with ``kind="custom"``
@@ -67,32 +64,6 @@ class InjectionSweepResult:
         ]
 
 
-def _simulate(
-    graph: ChipGraph,
-    config: SimulationConfig,
-    rate: float,
-    traffic: TrafficPattern | str,
-    engine: str = DEFAULT_ENGINE,
-) -> SimulationResult:
-    simulator = NocSimulator(graph, config, injection_rate=rate, traffic=traffic)
-    return simulator.run(engine=engine)
-
-
-def measure_zero_load_latency(
-    graph: ChipGraph,
-    config: SimulationConfig | None = None,
-    *,
-    traffic: TrafficPattern | str = "uniform",
-    injection_rate: float = ZERO_LOAD_INJECTION_RATE,
-    engine: str = DEFAULT_ENGINE,
-) -> SimulationResult:
-    """Measure the zero-load latency by simulating at a very low injection rate."""
-    check_fraction("injection_rate", injection_rate)
-    if config is None:
-        config = SimulationConfig()
-    return _simulate(graph, config, injection_rate, traffic, engine)
-
-
 def run_injection_sweep(
     graph: ChipGraph,
     config: SimulationConfig | None = None,
@@ -121,21 +92,3 @@ def run_injection_sweep(
     )
     return InjectionSweepResult(rates=tuple(rates), results=results)
 
-
-def measure_saturation_throughput(
-    graph: ChipGraph,
-    config: SimulationConfig | None = None,
-    *,
-    traffic: TrafficPattern | str = "uniform",
-    engine: str = DEFAULT_ENGINE,
-) -> tuple[float, SimulationResult]:
-    """Estimate the saturation throughput in flits per cycle per endpoint.
-
-    Returns a pair ``(saturation_rate, evidence)`` where ``evidence`` is the
-    single simulation at full injection rate.  The estimate from a whole
-    curve is ``run_injection_sweep(...).saturation_throughput``.
-    """
-    if config is None:
-        config = SimulationConfig()
-    result = _simulate(graph, config, 1.0, traffic, engine)
-    return result.accepted_flit_rate, result

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
+from repro.arrangements.base import ArrangementKind, Regularity
+from repro.evaluation.performance import FIGURE7_MODES
 from repro.noc.config import SimulationConfig
 from repro.noc.engine import DEFAULT_ENGINE, ENGINE_NAMES
 from repro.noc.traffic import available_traffic_patterns
@@ -26,16 +28,10 @@ from repro.utils.validation import check_in_choices, check_positive_int
 from repro.workloads import available_mappers, available_workloads
 
 #: Arrangement families of the paper.
-ARRANGEMENT_KINDS = ("grid", "brickwall", "honeycomb", "hexamesh")
+ARRANGEMENT_KINDS = tuple(kind.value for kind in ArrangementKind)
 
 #: Regularity classes accepted by arrangement generators.
-REGULARITIES = ("regular", "semi-regular", "irregular")
-
-#: Job types the service accepts.
-JOB_TYPES = ("sweep", "workload", "resilience", "figure7")
-
-#: Figure-7 evaluation modes.
-FIGURE7_MODES = ("analytical", "hybrid", "simulation")
+REGULARITIES = tuple(regularity.value for regularity in Regularity)
 
 
 def phase_config(cycles: int, *, seed: int | None = None) -> SimulationConfig:
@@ -87,135 +83,220 @@ class JobSpec:
         return phase_config(self.param("cycles"), seed=self.param("seed"))
 
 
-def _as_list(value: Any, kind: type, name: str) -> tuple:
-    """Normalise a scalar-or-list JSON value into a typed tuple."""
-    if value is None:
-        raise ValueError(f"spec field {name!r} must not be null")
-    if isinstance(value, (list, tuple)):
-        items = value
-    else:
-        items = [value]
-    if not items:
-        raise ValueError(f"spec field {name!r} must name at least one value")
-    try:
-        return tuple(kind(item) for item in items)
-    except (TypeError, ValueError) as error:
-        raise ValueError(f"spec field {name!r}: {error}") from error
+@dataclass(frozen=True)
+class SpecField:
+    """One job option: its normalisation, default, valid values and CLI flag.
+
+    The per-type tables in :data:`SPEC_FIELDS` are the only declaration of
+    a job option: :func:`job_spec` validates against them and the CLI
+    builds its spec-backed flags from them.
+    """
+
+    name: str
+    element: type
+    default: Any
+    help: str
+    listed: bool = False
+    optional: bool = False
+    #: Valid values: a tuple, a callable returning one, or ``None`` for any.
+    values: tuple | Callable[[], tuple] | None = None
+    #: CLI flag where it is not ``--<name>``.
+    cli_flag: str | None = None
+
+    @property
+    def flag(self) -> str:
+        """The CLI flag that sets this field."""
+        return self.cli_flag or "--" + self.name.replace("_", "-")
+
+    def valid_values(self) -> tuple | None:
+        """The accepted values (``None`` when any value of the type is)."""
+        return self.values() if callable(self.values) else self.values
+
+    def normalise(self, value: Any) -> Any:
+        """Canonical form of a raw JSON value: tuples for lists, typed scalars."""
+        if value is None:
+            if self.optional:
+                return None
+            raise ValueError(f"spec field {self.name!r} must not be null")
+        if self.listed:
+            items = value if isinstance(value, (list, tuple)) else [value]
+            if not items:
+                raise ValueError(f"spec field {self.name!r} must name at least one value")
+        elif isinstance(value, (list, tuple, Mapping)):
+            raise ValueError(
+                f"spec field {self.name!r} takes a single value, got {type(value).__name__}"
+            )
+        else:
+            items = [value]
+        try:
+            typed = tuple(self.element(item) for item in items)
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"spec field {self.name!r}: {error}") from error
+        valid = self.valid_values()
+        if valid is not None:
+            for item in typed:
+                check_in_choices(self.name, item, valid)
+        return typed if self.listed else typed[0]
 
 
-def _as_scalar(value: Any, kind: type, name: str) -> Any:
-    """Normalise a single JSON value (the scalar twin of :func:`_as_list`)."""
-    if value is None:
-        raise ValueError(f"spec field {name!r} must not be null")
-    if isinstance(value, (list, tuple, Mapping)):
-        raise ValueError(f"spec field {name!r} takes a single value, got {type(value).__name__}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as error:
-        raise ValueError(f"spec field {name!r}: {error}") from error
+def _table(*fields: SpecField) -> dict[str, SpecField]:
+    return {field.name: field for field in fields}
 
 
-def _listed(kind: type, *, optional: bool = False):
-    """Field normaliser ``(value, name) -> tuple`` for a list field (null if ``optional``)."""
-    return lambda v, name: None if optional and v is None else _as_list(v, kind, name)
+_KINDS = SpecField(
+    "kinds",
+    str,
+    ("grid", "brickwall", "hexamesh"),
+    "arrangement kinds",
+    listed=True,
+    values=ARRANGEMENT_KINDS,
+)
+_REGULARITY = SpecField(
+    "regularity",
+    str,
+    None,
+    "force one regularity class for every arrangement "
+    "(default: best available per chiplet count)",
+    optional=True,
+    values=REGULARITIES,
+)
+_ENGINE = SpecField(
+    "engine",
+    str,
+    DEFAULT_ENGINE,
+    "cycle-loop engine (all engines are bit-identical)",
+    values=ENGINE_NAMES,
+)
+_JOBS = SpecField("jobs", int, 1, "worker processes")
+_PHASE_FIELDS = (
+    SpecField("cycles", int, 1000, "measurement cycles (warm-up and drain scale with it)"),
+    SpecField("seed", int, 1, "base RNG seed"),
+    _ENGINE,
+    _JOBS,
+)
+
+#: Per-type field tables, the only source of defaults: the CLI leaves an
+#: unset flag out of the spec, so a bare ``{"type": ...}`` runs exactly
+#: what the flagless command does.
+SPEC_FIELDS: dict[str, dict[str, SpecField]] = {
+    "sweep": _table(
+        _KINDS,
+        SpecField("chiplets", int, (16, 36, 64), "chiplet counts", listed=True),
+        SpecField(
+            "rates",
+            float,
+            (0.02, 0.1, 0.3, 0.5, 1.0),
+            "injection rates (flits/cycle/endpoint)",
+            listed=True,
+        ),
+        SpecField(
+            "traffic",
+            str,
+            ("uniform",),
+            "traffic patterns",
+            listed=True,
+            values=available_traffic_patterns,
+        ),
+        _REGULARITY,
+        *_PHASE_FIELDS,
+    ),
+    "workload": _table(
+        SpecField(
+            "workloads",
+            str,
+            ("dnn-pipeline",),
+            "workload kinds",
+            listed=True,
+            values=available_workloads,
+            cli_flag="--kind",
+        ),
+        SpecField(
+            "arrangements",
+            str,
+            ("hexamesh",),
+            "arrangement kinds",
+            listed=True,
+            values=ARRANGEMENT_KINDS,
+            cli_flag="--arrangement",
+        ),
+        SpecField("chiplets", int, (37,), "chiplet counts", listed=True),
+        SpecField(
+            "mappers",
+            str,
+            ("partition",),
+            "task-to-chiplet mappers",
+            listed=True,
+            values=available_mappers,
+            cli_flag="--mapper",
+        ),
+        SpecField(
+            "tasks", int, None, "tasks per workload (default: the chiplet count)", optional=True
+        ),
+        SpecField("injection_rate", float, 0.1, "offered load of the heaviest source endpoint"),
+        _REGULARITY,
+        *_PHASE_FIELDS,
+    ),
+    "resilience": _table(
+        _KINDS,
+        SpecField("chiplets", int, 37, "chiplet count shared by every arrangement"),
+        SpecField(
+            "failures",
+            int,
+            (0, 1, 2, 4),
+            "failure counts (include 0 for the baseline)",
+            listed=True,
+        ),
+        SpecField(
+            "fault_type",
+            str,
+            "link",
+            "what fails: links, routers, or an even mix",
+            values=FAULT_TYPES,
+        ),
+        SpecField("samples", int, 2, "independent fault draws per (kind, failure count)"),
+        SpecField("injection_rate", float, 0.1, "offered load (flits/cycle/endpoint)"),
+        SpecField(
+            "injection_rates",
+            float,
+            None,
+            "injection rates; several turn each degradation curve into a surface "
+            "(rows gain a rate column) and override injection_rate",
+            listed=True,
+            optional=True,
+        ),
+        SpecField("traffic", str, "uniform", "traffic pattern", values=available_traffic_patterns),
+        _REGULARITY,
+        *_PHASE_FIELDS,
+    ),
+    # Figure 7 runs the paper's evaluation parameters over its 2-100
+    # chiplet range; it has no cycles/seed knobs.
+    "figure7": _table(
+        SpecField(
+            "max_chiplets", int, 100, "largest chiplet count (figure 6 starts at 1, figure 7 at 2)"
+        ),
+        SpecField("mode", str, "analytical", "Figure 7 evaluation mode", values=FIGURE7_MODES),
+        SpecField(
+            "sim_points",
+            int,
+            None,
+            "chiplet counts to simulate (hybrid mode; simulation mode: all)",
+            listed=True,
+            optional=True,
+        ),
+        _ENGINE,
+        _JOBS,
+    ),
+}
+
+#: Job types the service accepts.
+JOB_TYPES = tuple(SPEC_FIELDS)
 
 
-def _scalar(kind: type, *, optional: bool = False):
-    """Field normaliser ``(value, name) -> value`` for a scalar field (null if ``optional``)."""
-    return lambda v, name: None if optional and v is None else _as_scalar(v, kind, name)
-
-
-# Per-type field tables: name -> (normaliser, default).  Normalisers
-# receive the raw JSON value and the field name and return the canonical
-# form (tuples for lists).  These tables are the only source of
-# defaults: the CLI leaves an unset flag out of the spec, so a bare
-# ``{"type": ...}`` runs exactly what the flagless command does.
-
-
-def _common_fields() -> dict[str, tuple]:
-    return {
-        "cycles": (_scalar(int), 1000),
-        "seed": (_scalar(int), 1),
-        "engine": (_scalar(str), DEFAULT_ENGINE),
-        "jobs": (_scalar(int), 1),
-    }
-
-
-def _spec_fields(job_type: str) -> dict[str, tuple]:
-    fields = _common_fields()
-    if job_type == "sweep":
-        fields.update(
-            kinds=(_listed(str), ("grid", "brickwall", "hexamesh")),
-            chiplets=(_listed(int), (16, 36, 64)),
-            rates=(_listed(float), (0.02, 0.1, 0.3, 0.5, 1.0)),
-            traffic=(_listed(str), ("uniform",)),
-            regularity=(_scalar(str, optional=True), None),
-        )
-    elif job_type == "workload":
-        fields.update(
-            workloads=(_listed(str), ("dnn-pipeline",)),
-            arrangements=(_listed(str), ("hexamesh",)),
-            chiplets=(_listed(int), (37,)),
-            mappers=(_listed(str), ("partition",)),
-            tasks=(_scalar(int, optional=True), None),
-            injection_rate=(_scalar(float), 0.1),
-            regularity=(_scalar(str, optional=True), None),
-        )
-    elif job_type == "resilience":
-        fields.update(
-            kinds=(_listed(str), ("grid", "brickwall", "hexamesh")),
-            chiplets=(_scalar(int), 37),
-            failures=(_listed(int), (0, 1, 2, 4)),
-            fault_type=(_scalar(str), "link"),
-            samples=(_scalar(int), 2),
-            injection_rate=(_scalar(float), 0.1),
-            injection_rates=(_listed(float, optional=True), None),
-            traffic=(_scalar(str), "uniform"),
-            regularity=(_scalar(str, optional=True), None),
-        )
-    elif job_type == "figure7":
-        # Figure 7 runs the paper's evaluation parameters over its 2-100
-        # chiplet range; it has no cycles/seed knobs.
-        del fields["cycles"], fields["seed"]
-        fields.update(
-            max_chiplets=(_scalar(int), 100),
-            mode=(_scalar(str), "analytical"),
-            sim_points=(_listed(int, optional=True), None),
-        )
-    else:  # pragma: no cover - guarded by the caller
-        raise ValueError(f"unknown job type {job_type!r}")
-    return fields
-
-
-def _check_spec(job_type: str, params: dict[str, Any]) -> None:
+def _check_spec(params: dict[str, Any]) -> None:
     """Cross-field validation after normalisation (fail before running)."""
-    check_in_choices("engine", params["engine"], ENGINE_NAMES)
-    if "cycles" in params:
-        check_positive_int("cycles", params["cycles"])
-    check_positive_int("jobs", params["jobs"])
-    if job_type == "sweep":
-        for kind in params["kinds"]:
-            check_in_choices("kind", kind, ARRANGEMENT_KINDS)
-        for traffic in params["traffic"]:
-            check_in_choices("traffic", traffic, available_traffic_patterns())
-    elif job_type == "workload":
-        for kind in params["workloads"]:
-            check_in_choices("workload kind", kind, available_workloads())
-        for arrangement in params["arrangements"]:
-            check_in_choices("arrangement", arrangement, ARRANGEMENT_KINDS)
-        for mapper in params["mappers"]:
-            check_in_choices("mapper", mapper, available_mappers())
-    elif job_type == "resilience":
-        for kind in params["kinds"]:
-            check_in_choices("kind", kind, ARRANGEMENT_KINDS)
-        check_in_choices("fault_type", params["fault_type"], FAULT_TYPES)
-        check_in_choices("traffic", params["traffic"], available_traffic_patterns())
-    elif job_type == "figure7":
-        check_in_choices("mode", params["mode"], FIGURE7_MODES)
-        check_positive_int("max_chiplets", params["max_chiplets"])
-    regularity = params.get("regularity")
-    if regularity is not None:
-        check_in_choices("regularity", regularity, REGULARITIES)
+    for name in ("cycles", "jobs", "max_chiplets"):
+        if name in params:
+            check_positive_int(name, params[name])
 
 
 def job_spec(data: Mapping[str, Any]) -> JobSpec:
@@ -234,7 +315,7 @@ def job_spec(data: Mapping[str, Any]) -> JobSpec:
     if job_type is None:
         raise ValueError(f"job spec needs a 'type' field (one of {', '.join(JOB_TYPES)})")
     check_in_choices("type", job_type, JOB_TYPES)
-    fields = _spec_fields(job_type)
+    fields = SPEC_FIELDS[job_type]
     unknown = sorted(set(payload) - set(fields))
     if unknown:
         raise ValueError(
@@ -242,10 +323,10 @@ def job_spec(data: Mapping[str, Any]) -> JobSpec:
             f"(known: {', '.join(sorted(fields))})"
         )
     params = {
-        name: normalise(payload[name], name) if name in payload else default
-        for name, (normalise, default) in fields.items()
+        name: field.normalise(payload[name]) if name in payload else field.default
+        for name, field in fields.items()
     }
-    _check_spec(job_type, params)
+    _check_spec(params)
     return JobSpec(
         job_type=job_type,
         params=tuple(sorted(params.items())),

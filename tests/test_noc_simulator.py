@@ -7,11 +7,7 @@ from repro.graphs.model import ChipGraph
 from repro.noc.config import SimulationConfig
 from repro.noc.simulator import NocSimulator
 from repro.noc.stats import LatencyStatistics, ThroughputStatistics
-from repro.noc.sweep import (
-    measure_saturation_throughput,
-    measure_zero_load_latency,
-    run_injection_sweep,
-)
+from repro.noc.sweep import ZERO_LOAD_INJECTION_RATE, run_injection_sweep
 from repro.perfmodel.latency import zero_load_latency_cycles
 
 
@@ -194,8 +190,8 @@ class TestStagedPipeline:
 class TestSweepHelpers:
     def test_zero_load_helper(self):
         graph = make_arrangement("grid", 4).graph
-        result = measure_zero_load_latency(graph, _config())
-        assert result.packet_latency.mean > 0
+        sweep = run_injection_sweep(graph, _config(), rates=(ZERO_LOAD_INJECTION_RATE,))
+        assert sweep.mean_latencies[0] > 0
 
     def test_injection_sweep_monotone_offered_rates(self):
         graph = make_arrangement("grid", 4).graph
@@ -205,16 +201,17 @@ class TestSweepHelpers:
         assert len(sweep.stable_points()) >= 1
 
     def test_saturation_overload_method(self):
+        # A sweep at full injection rate reads the curve's plateau in one run.
         graph = make_arrangement("hexamesh", 7).graph
-        saturation, evidence = measure_saturation_throughput(graph, _config(drain_cycles=0))
-        assert 0.1 < saturation <= 1.0
-        assert evidence.injection_rate == pytest.approx(1.0)
+        overload = run_injection_sweep(graph, _config(drain_cycles=0), rates=(1.0,))
+        assert 0.1 < overload.saturation_throughput <= 1.0
+        assert overload.results[0].injection_rate == pytest.approx(1.0)
 
     def test_saturation_sweep_method(self):
         graph = make_arrangement("grid", 4).graph
         sweep = run_injection_sweep(graph, _config(drain_cycles=0), rates=(0.1, 0.4, 0.9))
-        overload, _ = measure_saturation_throughput(graph, _config(drain_cycles=0))
+        overload = run_injection_sweep(graph, _config(drain_cycles=0), rates=(1.0,))
         assert sweep.saturation_throughput == max(sweep.accepted_rates)
         # The overload estimate reads the curve's plateau, which no
         # low-load point exceeds.
-        assert overload >= sweep.accepted_rates[0]
+        assert overload.saturation_throughput >= sweep.accepted_rates[0]
